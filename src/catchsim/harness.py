@@ -25,11 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .physics import (
+    BallMotion,
     BallState,
     DragMode,
     Environment,
+    GroundTruth,
     ProjectileParams,
-    step_ground_truth,
+    ground_truth,
+    step_ground_truth,  # noqa: F401  # the per-step integrator, kept bound here for perfbench/spans.py
 )
 from .planner import (
     PlanMethod,
@@ -75,19 +78,6 @@ class ScenarioId(str, Enum):
     D = "D"
     E = "E"
     PLANAR2D = "planar2d"
-
-
-class BallMotion(str, Enum):
-    """Ground-truth motion model of the ball.
-
-    frozen: the ball does not move (a held target).
-    linear: constant velocity, no gravity or drag (a carried/rolling target).
-    ballistic: full gravity + drag integration (a thrown ball).
-    """
-
-    FROZEN = "frozen"
-    LINEAR = "linear"
-    BALLISTIC = "ballistic"
 
 
 # Canonical method / yaw wiring per scenario (yaw is unconstrained where absent).
@@ -382,6 +372,9 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
 
 
 def _validate_semantics(cfg: ScenarioConfig):
+    if cfg.tilt_coupling and cfg.environment.gravity_g == 0.0:
+        # the coupled camera tilt is atan(|a_h| / g)
+        raise ConfigError("environment.gravity: must be > 0 while planner.tilt_coupling is on")
     if cfg.scenario_id is ScenarioId.PLANAR2D:
         n = cfg.plane_normal
         if abs(np.linalg.norm(n) - 1.0) > 1e-6:
@@ -402,13 +395,18 @@ def _check_throw_geometry(cfg: ScenarioConfig):
     point to differ from the nearest one (so the two methods actually
     choose differently).
     """
-    path = predict_path(
-        BallState(cfg.ball_position.copy(), cfg.ball_velocity.copy(), 0.0),
-        cfg.projectile,
-        cfg.environment,
-        t_step=cfg.t_step,
-        stop=PropagationStop(cfg.max_horizon, cfg.ground_height),
-    )
+    try:
+        path = predict_path(
+            BallState(cfg.ball_position.copy(), cfg.ball_velocity.copy(), 0.0),
+            cfg.projectile,
+            cfg.environment,
+            t_step=cfg.t_step,
+            stop=PropagationStop(cfg.max_horizon, cfg.ground_height),
+        )
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(
+            f"scenario {cfg.scenario_id.value}: the throw's predicted path cannot be computed ({exc})"
+        ) from exc
     uav0 = hover_init(cfg.start_elevation)
     region = reachable_region(path, 0.0, 0.0, uav0, cfg.limits)
     if len(region) == 0:
@@ -516,14 +514,6 @@ def final_prediction_error(result: ScenarioResult) -> float | None:
 # scenario engine
 # ---------------------------------------------------------------------------
 
-def _advance_ball(ball: BallState, cfg: ScenarioConfig, dt: float) -> BallState:
-    if cfg.ball_motion is BallMotion.BALLISTIC:
-        return step_ground_truth(ball, cfg.projectile, cfg.environment, dt)
-    if cfg.ball_motion is BallMotion.LINEAR:
-        return BallState(ball.position + ball.velocity * dt, ball.velocity, ball.time + dt)
-    return BallState(ball.position, ball.velocity, ball.time + dt)  # frozen
-
-
 def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: ReachableRegion) -> bool:
     """Has the previous path-based target dropped out of the (new) green region?"""
     j = int(np.argmin(np.linalg.norm(path.positions - sp.target_position, axis=1)))
@@ -564,20 +554,26 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
         def to_plane(p: np.ndarray) -> np.ndarray:
             return p - float((p - p0) @ n_hat) * n_hat
 
+    n_ticks = int(round(cfg.max_sim_time / dt))
+    ballistic = cfg.ball_motion is BallMotion.BALLISTIC
+    truth = ground_truth(
+        cfg.ball_motion, cfg.ball_position, cfg.ball_velocity, params, env, dt,
+        cfg.ground_height, n_ticks, cfg.max_horizon,
+    )
+    positions = truth.positions
+
     uav = hover_init(cfg.start_elevation)
-    ball = BallState(cfg.ball_position.copy(), cfg.ball_velocity.copy(), 0.0)
     queue = ObservationQueue(capacity=cfg.queue_capacity)
     sp = Setpoint(uav.position.copy(), 0.0, cfg.method, None)
 
     records: list[MetricsRecord] = []
-    truth: list[np.ndarray] = [ball.position.copy()]
-    min_distance = float(np.linalg.norm(uav.position - ball.position))
+    i = 0  # index of the ball's current truth sample
+    min_distance = float(np.linalg.norm(uav.position - positions[0]))
     intercepted = False
     t_intercept: float | None = None
     last_obs_time: float | None = None
     reason = "max_time"
 
-    n_ticks = int(round(cfg.max_sim_time / dt))
     frame_tol = 0.5 * dt
     t_end = 0.0
 
@@ -586,6 +582,7 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
         is_frame = abs(t - round(t * cam.frame_rate) / cam.frame_rate) <= frame_tol
 
         if is_frame:
+            ball = BallState(positions[k], truth.velocities[k], float(truth.times[k]))
             obs = observe(ball, params, uav, cam, t, rng_seed=(cfg.seed, k), physics_dt=dt)
             predicted_point = None
             chosen_idx = None
@@ -604,7 +601,7 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
             records.append(
                 MetricsRecord(
                     time=t,
-                    ball_position=ball.position.copy(),
+                    ball_position=positions[k],
                     uav_position=uav.position.copy(),
                     setpoint=sp,
                     intercepted=False,
@@ -626,11 +623,12 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
             pos = to_plane(uav.position)
             vel = uav.velocity - float(uav.velocity @ n_hat) * n_hat
             uav = UavState(pos, vel, uav.yaw, uav.pitch, uav.time)
-        ball = _advance_ball(ball, cfg, dt)
-        truth.append(ball.position.copy())
-        t_end = (k + 1) * dt
+        i = k + 1
+        if i == len(truth):
+            raise truth.failure()
+        t_end = i * dt
 
-        d = float(np.linalg.norm(uav.position - ball.position))
+        d = float(np.linalg.norm(uav.position - positions[i]))
         if d < min_distance:
             min_distance = d
         if d <= limits.intercept_radius:
@@ -638,7 +636,7 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
             t_intercept = t_end
             reason = "intercepted"
             break
-        if cfg.ball_motion is BallMotion.BALLISTIC and ball.position[2] < cfg.ground_height:
+        if ballistic and positions[i, 2] < cfg.ground_height:
             reason = "ground_impact"
             break
         if last_obs_time is not None and t_end - last_obs_time > BALL_LOST_TIMEOUT:
@@ -648,7 +646,7 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
     records.append(
         MetricsRecord(
             time=t_end,
-            ball_position=ball.position.copy(),
+            ball_position=positions[i],
             uav_position=uav.position.copy(),
             setpoint=sp,
             intercepted=intercepted,
@@ -658,14 +656,8 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
     # Extend the true trajectory past termination (the arc the ball would
     # fly anyway) so predictions aimed beyond the interception instant are
     # scored against the real path, not a truncated one.
-    if cfg.ball_motion is BallMotion.BALLISTIC:
-        tail = ball
-        t_extend = tail.time + cfg.max_horizon
-        while tail.position[2] >= cfg.ground_height and tail.time < t_extend:
-            tail = step_ground_truth(tail, params, env, dt)
-            truth.append(tail.position.copy())
-
-    truth_arr = np.array(truth)
+    end = _tail_end(truth, i, cfg.max_horizon, cfg.ground_height) if ballistic else i
+    truth_arr = positions[: end + 1]
     if planar:
         _fill_planar_errors(cfg, records, truth_arr, dt)
     else:
@@ -680,6 +672,16 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
         records=records,
         termination_reason=reason,
     )
+
+
+def _tail_end(truth: GroundTruth, start: int, horizon: float, ground_height: float) -> int:
+    """Last truth index of the scored arc: from `start`, the ball flies on while
+    it is not below ground and less than `horizon` has passed since `start`."""
+    t_extend = truth.times[start] + horizon
+    flying = (truth.positions[start:, 2] >= ground_height) & (truth.times[start:] < t_extend)
+    if flying.all():
+        raise truth.failure()
+    return start + int(np.argmin(flying))
 
 
 def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):

@@ -11,12 +11,17 @@ with Re = V D / nu and drag magnitude D_r = 1/2 rho Cd V^2 A.
 
 Ground truth integrates with classical RK4 so it stays a strictly
 finer-grained reference than the explicit kinematic propagation used by
-the predictor. All functions here are pure; there is no shared state.
+the predictor. All functions here are pure, with one piece of shared
+state: `ground_truth` keeps the last few integrated paths in a small LRU
+cache, as read-only arrays, so a sweep over noise seeds integrates each
+throw once.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +31,7 @@ import numpy as np
 # Re -> 0 while the physical (Stokes) drag force vanishes, so we skip the
 # drag term entirely instead of evaluating 24/Re on garbage.
 _SPEED_FLOOR = 1e-12
+_NONFINITE_STATE = "BallState components must be finite"
 
 
 class DragMode(str, Enum):
@@ -44,6 +50,19 @@ class DragMode(str, Enum):
     VELOCITY_OPPOSED = "velocity_opposed"
     PAPER_EXACT = "paper_exact"
     NONE = "none"
+
+
+class BallMotion(str, Enum):
+    """Ground-truth motion model of the ball.
+
+    frozen: the ball does not move (a held target).
+    linear: constant velocity, no gravity or drag (a carried/rolling target).
+    ballistic: full gravity + drag integration (a thrown ball).
+    """
+
+    FROZEN = "frozen"
+    LINEAR = "linear"
+    BALLISTIC = "ballistic"
 
 
 @dataclass
@@ -101,7 +120,7 @@ class BallState:
             and np.isfinite(self.velocity).all()
             and math.isfinite(self.time)
         ):
-            raise ValueError("BallState components must be finite")
+            raise ValueError(_NONFINITE_STATE)
 
     @property
     def speed(self) -> float:
@@ -245,3 +264,130 @@ def step_ground_truth(state: BallState, params: ProjectileParams, env: Environme
         velocity=np.array((nvx, nvy, nvz)),
         time=state.time + dt,
     )
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """A ball's true path, one sample per physics step: sample i is at times[i].
+
+    The arrays are read-only, because cached paths are shared between runs.
+    When a step failed, `error` is what it raised (or the ValueError a
+    non-finite state gets from BallState) and the path ends just before it;
+    a run that needs the sample past the end raises `failure()`.
+    """
+
+    positions: np.ndarray  # (n, 3) m
+    velocities: np.ndarray  # (n, 3) m/s
+    times: np.ndarray  # (n,) s
+    error: Exception | None = None
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def failure(self) -> Exception:
+        """A fresh copy of the stored error, to raise where the run needs sample n."""
+        return type(self.error)(*self.error.args)
+
+
+# Enough for the three bundled throws (D, E, planar2d) interleaved in one
+# sweep; a cached throw of ~1300 samples holds ~70 KB.
+TRUTH_CACHE_SIZE = 3
+_truth_cache: OrderedDict[tuple, GroundTruth] = OrderedDict()
+
+
+def ground_truth(
+    motion: BallMotion,
+    position: np.ndarray,
+    velocity: np.ndarray,
+    params: ProjectileParams,
+    env: Environment,
+    dt: float,
+    ground_height: float,
+    n_ticks: int,
+    tail_time: float,
+) -> GroundTruth:
+    """The true path from (position, velocity) at t = 0, every sample a run can use.
+
+    A run steps the ball n_ticks times at most; a ballistic path then
+    continues for up to tail_time (the arc scored after the run ends), and
+    stops at the first sample after the start below ground_height. Samples
+    equal, bit for bit, what repeated `step_ground_truth` calls (ballistic),
+    `p + v * dt` (linear) or a constant position (frozen) give, with times
+    accumulated as `t + dt`. Results are cached by every input (LRU, at
+    most TRUTH_CACHE_SIZE paths).
+    """
+    motion = BallMotion(motion)
+    numbers = (
+        *position, *velocity,
+        params.mass_m, params.diameter_D, params.reference_area_A,
+        env.gravity_g, env.air_density_rho, env.kinematic_viscosity_nu,
+        dt, ground_height, tail_time,
+    )
+    # exact bits, so that -0.0 and 0.0 (printed differently in traces) get their own entries
+    key = (motion, params.drag_mode, n_ticks, np.array(numbers, dtype=float).tobytes())
+    truth = _truth_cache.get(key)
+    if truth is not None:
+        _truth_cache.move_to_end(key)
+        return truth
+    p0 = np.array(position, dtype=float)
+    v0 = np.array(velocity, dtype=float)
+    error = None
+    if motion is BallMotion.BALLISTIC:
+        # one step of slack: a tail that starts before the last tick may need one
+        # more step to cover tail_time, as the accumulated times round differently
+        last = n_ticks + math.ceil(tail_time / dt) + 1
+        positions, velocities, error = _integrate_ballistic(p0, v0, params, env, dt, ground_height, last)
+    else:
+        n = n_ticks + 1
+        velocities = np.broadcast_to(v0, (n, 3))
+        if motion is BallMotion.FROZEN:
+            positions = np.broadcast_to(p0, (n, 3))
+        else:
+            increments = np.empty((n, 3))
+            increments[0] = p0
+            increments[1:] = v0 * dt
+            positions = np.add.accumulate(increments, axis=0)
+            finite = np.isfinite(positions).all(axis=1)
+            if not finite.all():
+                n = int(np.argmin(finite))
+                positions, velocities = positions[:n].copy(), velocities[:n]
+                error = ValueError(_NONFINITE_STATE)
+    steps = np.full(len(positions), dt)
+    steps[0] = 0.0
+    times = np.add.accumulate(steps)
+    for a in (positions, velocities, times):
+        a.flags.writeable = False
+    truth = GroundTruth(positions, velocities, times, error)
+    _truth_cache[key] = truth
+    if len(_truth_cache) > TRUTH_CACHE_SIZE:
+        _truth_cache.popitem(last=False)
+    return truth
+
+
+def _integrate_ballistic(
+    p0: np.ndarray,
+    v0: np.ndarray,
+    params: ProjectileParams,
+    env: Environment,
+    dt: float,
+    ground_height: float,
+    last: int,
+) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    """RK4 samples 0..last, stopping early below ground or at the first failed step."""
+    state = (*p0.tolist(), *v0.tolist())
+    samples = array("d", state)
+    error = None
+    for _ in range(last):
+        try:
+            state = _rk4_step(*state, params, env, dt)
+        except (ArithmeticError, ValueError) as exc:
+            error = exc.with_traceback(None)
+            break
+        if not all(map(math.isfinite, state)):
+            error = ValueError(_NONFINITE_STATE)
+            break
+        samples.extend(state)
+        if state[2] < ground_height:
+            break
+    rows = np.frombuffer(samples).reshape(-1, 6)
+    return rows[:, :3].copy(), rows[:, 3:].copy(), error

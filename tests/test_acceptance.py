@@ -55,3 +55,27 @@ def test_criterion_8_invariant_battery():
     # drag opposes velocity, FIFO window, region margins >= 0,
     # fastest index <= shortest index, yaw slew bound
     _assert(acceptance.check_invariant_battery())
+
+
+def test_criterion_8_drives_the_real_queue(monkeypatch):
+    # a queue that never evicts must fail the FIFO-window check
+    def push_without_eviction(queue, obs):
+        queue.entries.append((obs.timestamp, obs.position))
+        return queue
+
+    monkeypatch.setattr(acceptance, "push_observation", push_without_eviction)
+    result = acceptance.check_invariant_battery()
+    assert not result.passed and "fifo-window" in result.detail
+
+
+def test_criterion_6_fails_on_other_noise(monkeypatch):
+    bundled = acceptance.bundled_config
+
+    def noisier(sid):
+        cfg = bundled(sid)
+        cfg.camera.noise_sigma = 0.02
+        return cfg
+
+    monkeypatch.setattr(acceptance, "bundled_config", noisier)
+    result = acceptance.check_interception_rates()
+    assert not result.passed and "noise_sigma 0.02" in result.detail

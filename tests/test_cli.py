@@ -43,6 +43,21 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "planner.hysteresys_dist" in capsys.readouterr().err
 
+    def test_zero_gravity_exits_2_unless_tilt_coupling_off(self, tmp_path, capsys):
+        raw = bundled_raw("A")
+        raw["environment"] = {"gravity": 0.0}
+        cfg = write_cfg(tmp_path, "A.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+        assert "environment.gravity" in capsys.readouterr().err
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "g"), "--no-tilt-coupling"]) == 0
+
+    def test_unpredictable_throw_exits_2(self, tmp_path, capsys):
+        raw = bundled_raw("D")
+        raw["projectile"] = {"drag_mode": "paper_exact"}
+        cfg = write_cfg(tmp_path, "D.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "scenario D" in capsys.readouterr().err
+
     def test_seed_override_changes_noise(self, tmp_path):
         cfg = write_cfg(tmp_path, "D.json", bundled_raw("D"))
         for seed, sub in ((1, "s1"), (7, "s7"), (7, "s7b")):

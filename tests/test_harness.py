@@ -137,6 +137,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="earliest"):
             config_from_dict(raw)
 
+    def test_zero_gravity_needs_tilt_coupling_off(self):
+        raw = bundled_config("A").to_dict()
+        raw["environment"]["gravity"] = 0.0
+        with pytest.raises(ConfigError, match="environment.gravity"):
+            config_from_dict(raw)
+        raw["planner"]["tilt_coupling"] = False
+        assert run_scenario(config_from_dict(raw)).termination_reason == "intercepted"
+
+    def test_unpredictable_throw_rejected_at_load(self):
+        # paper_exact puts +g on the y axis: the load-time prediction diverges
+        raw = bundled_config("D").to_dict()
+        raw["projectile"]["drag_mode"] = "paper_exact"
+        with pytest.raises(ConfigError, match="scenario D: .*Re must be finite"):
+            config_from_dict(raw)
+
     def test_bundled_configs_load(self):
         for sid in ("A", "B", "C", "D", "E", "planar2d"):
             cfg = bundled_config(sid)
