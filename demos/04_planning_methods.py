@@ -22,7 +22,7 @@ from catchsim import (
     reachable_region,
     time_to_reach,
 )
-from catchsim.sensor import CameraModel, Observation
+from catchsim.sensor import Observation
 
 env = Environment()
 params = ProjectileParams()
@@ -39,14 +39,14 @@ seed = BallState(position=[2.9, 1.2, 1.5], velocity=[-2.7, -1.4, 5.3])
 path = predict_path(seed, params, env, t_step=0.01, stop=PropagationStop(3.0, 0.0))
 print(f"\nPredicted path: {len(path)} samples over {path.times[-1] - path.times[0]:.2f} s")
 
-region = reachable_region(path, 0.0, 0.0, uav, limits)
+region = reachable_region(path, 0.0, uav, limits)
 print(f"Reachable ('green') region: samples {region.indices[0]}..{region.indices[-1]} "
       f"({len(region)} of {len(path)}), margins up to {region.margins.max():.2f} s")
 
 sp_short = plan_shortest(path, region, uav)
 sp_fast = plan_fastest(path, region, uav)
 obs = Observation(seed.position.copy(), 0.0, bearing_azimuth=0.39, bearing_elevation=-0.16, edge_fraction=0.65)
-sp_cat = plan_cat_mouse(obs, uav, yaw_enabled=True, cam=CameraModel())
+sp_cat = plan_cat_mouse(obs, uav, yaw_enabled=True)
 
 print("\nMethod choices:")
 for name, sp in (("cat & mouse", sp_cat), ("shortest path", sp_short), ("fastest path", sp_fast)):

@@ -54,7 +54,6 @@ from .harness import (
     final_prediction_error,
     load_config,
     prediction_error,
-    run_planar2d,
     run_scenario,
     write_outputs,
 )

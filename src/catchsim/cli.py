@@ -24,6 +24,8 @@ from .harness import (
     ConfigError,
     config_from_dict,
     final_prediction_error,
+    load_config,
+    load_raw_config,
     run_scenario,
     scenario_expectation,
     write_outputs,
@@ -36,15 +38,6 @@ _METHOD_ALIASES = {
 }
 
 SUITE_ORDER = ["A", "B", "C", "D", "E", "planar2d"]
-
-
-def _load_raw(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _apply_overrides(raw: dict, args) -> tuple[dict, bool]:
@@ -62,7 +55,7 @@ def _apply_overrides(raw: dict, args) -> tuple[dict, bool]:
 
 def cmd_run(args) -> int:
     try:
-        raw = _load_raw(Path(args.config))
+        raw = load_raw_config(Path(args.config))
         raw, override = _apply_overrides(raw, args)
         cfg = config_from_dict(raw, allow_method_override=override)
     except ConfigError as exc:
@@ -91,7 +84,7 @@ def cmd_suite(args) -> int:
             if config_dir is None:
                 cfg = bundled_config(sid)
             else:
-                cfg = config_from_dict(_load_raw(config_dir / f"{sid}.json"))
+                cfg = load_config(config_dir / f"{sid}.json")
             if args.seed is not None:
                 raw = cfg.to_dict()
                 raw["seed"] = args.seed

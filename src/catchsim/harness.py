@@ -17,8 +17,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +29,6 @@ import numpy as np
 from .physics import (
     BallMotion,
     BallState,
-    DragMode,
     Environment,
     GroundTruth,
     ProjectileParams,
@@ -140,66 +141,19 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """JSON-ready dict with every default materialized; round-trips via config_from_dict."""
-        d = {
-            "scenario_id": self.scenario_id.value,
-            "seed": self.seed,
-            "physics_dt": self.physics_dt,
-            "max_sim_time": self.max_sim_time,
-            "ball": {
-                "position": [float(v) for v in self.ball_position],
-                "velocity": [float(v) for v in self.ball_velocity],
-                "motion": self.ball_motion.value,
-            },
-            "projectile": {
-                "mass": self.projectile.mass_m,
-                "diameter": self.projectile.diameter_D,
-                "reference_area": self.projectile.reference_area_A,
-                "drag_mode": self.projectile.drag_mode.value,
-            },
-            "environment": {
-                "gravity": self.environment.gravity_g,
-                "air_density": self.environment.air_density_rho,
-                "kinematic_viscosity": self.environment.kinematic_viscosity_nu,
-            },
-            "camera": {
-                "horizontal_fov": self.camera.horizontal_fov,
-                "vertical_fov": self.camera.vertical_fov,
-                "frame_rate": self.camera.frame_rate,
-                "max_range": self.camera.max_range,
-                "noise_sigma": self.camera.noise_sigma,
-                "points_per_detection": self.camera.points_per_detection,
-                "mount_pitch": self.camera.mount_pitch,
-            },
-            "uav": {
-                "start_elevation": self.start_elevation,
-                "height_comp_gain": self.height_comp_gain,
-                "limits": {
-                    "max_speed": self.limits.max_speed,
-                    "max_accel": self.limits.max_accel,
-                    "max_yaw_rate": self.limits.max_yaw_rate,
-                    "intercept_radius": self.limits.intercept_radius,
-                },
-                "gains": {"kp": self.kp, "kd": self.kd},
-            },
-            "planner": {
-                "method": self.method.value,
-                "yaw_enabled": self.yaw_enabled,
-                "tilt_coupling": self.tilt_coupling,
-                "edge_threshold": self.edge_threshold,
-                "hysteresis_dist": self.hysteresis_dist,
-            },
-            "prediction": {
-                "queue_capacity": self.queue_capacity,
-                "t_step": self.t_step,
-                "max_horizon": self.max_horizon,
-                "ground_height": self.ground_height,
-            },
-        }
-        if self.plane_point is not None:
-            d["plane"] = {
-                "point": [float(v) for v in self.plane_point],
-                "normal": [float(v) for v in self.plane_normal],
-            }
+        d: dict = {}
+        for path, attr in _FIELDS:
+            value = reduce(getattr, attr, self)
+            if value is None:  # the plane, outside planar2d
+                continue
+            if isinstance(value, Enum):
+                value = value.value
+            elif isinstance(value, np.ndarray):
+                value = [float(v) for v in value]
+            node = d
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
         return d
 
 
@@ -207,9 +161,28 @@ class ScenarioConfig:
 # config loading & validation
 # ---------------------------------------------------------------------------
 
-def _load_schema() -> dict:
-    with resources.files("catchsim.scenarios").joinpath("schema.json").open() as f:
-        return json.load(f)
+_SCENARIOS = resources.files("catchsim.scenarios")
+_SCHEMA = json.loads((_SCENARIOS / "schema.json").read_text())
+
+
+def _leaves(node: dict, path: tuple[str, ...] = ()):
+    for key, sub in node["fields"].items():
+        if sub["type"] == "object":
+            yield from _leaves(sub, path + (key,))
+        else:
+            yield path + (key,), tuple(sub["attr"].split("."))
+
+
+# The one config table, in schema order: each leaf's path in the JSON config and
+# the ScenarioConfig attribute path it sets, e.g. ("uav", "limits", "max_speed")
+# and ("limits", "max_speed").
+_FIELDS = tuple(_leaves(_SCHEMA))
+# ScenarioConfig's nested parameter objects, each with its class.
+_NESTED = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(ScenarioConfig)
+    if f.default_factory is not dataclasses.MISSING
+}
 
 
 def _check_node(value, node: dict, path: str):
@@ -283,12 +256,15 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    d = _check_node(raw, _load_schema(), "")
-    sid = ScenarioId(d["scenario_id"])
+    d = _check_node(raw, _SCHEMA, "")
+    kwargs: dict = {name: {} for name in _NESTED}
+    for path, (*owner, name) in _FIELDS:
+        (kwargs[owner[0]] if owner else kwargs)[name] = reduce(operator.getitem, path, d)
+    sid = ScenarioId(kwargs["scenario_id"])
 
-    method = d["planner"]["method"]
+    method = kwargs["method"]
     method = PlanMethod(method) if method is not None else _SCENARIO_METHOD[sid]
-    yaw_enabled = d["planner"]["yaw_enabled"]
+    yaw_enabled = kwargs["yaw_enabled"]
     yaw_enabled = yaw_enabled if yaw_enabled is not None else _SCENARIO_YAW.get(sid, True)
     if not allow_method_override:
         if method is not _SCENARIO_METHOD[sid]:
@@ -300,73 +276,22 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
             raise ConfigError(
                 f"planner.yaw_enabled: scenario {sid.value} requires {_SCENARIO_YAW[sid]}"
             )
+    kwargs["method"], kwargs["yaw_enabled"] = method, yaw_enabled
 
-    plane = d["plane"]
-    has_plane = plane["point"] is not None or plane["normal"] is not None
+    point, normal = kwargs["plane_point"], kwargs["plane_normal"]
     if sid is ScenarioId.PLANAR2D:
-        if plane["point"] is None or plane["normal"] is None:
+        if point is None or normal is None:
             raise ConfigError("plane: planar2d requires plane.point and plane.normal")
-    elif has_plane:
+    elif point is not None or normal is not None:
         raise ConfigError(f"plane: only valid for scenario planar2d, not {sid.value}")
 
     try:
-        projectile = ProjectileParams(
-            mass_m=d["projectile"]["mass"],
-            diameter_D=d["projectile"]["diameter"],
-            reference_area_A=d["projectile"]["reference_area"],
-            drag_mode=DragMode(d["projectile"]["drag_mode"]),
-        )
-        environment = Environment(
-            gravity_g=d["environment"]["gravity"],
-            air_density_rho=d["environment"]["air_density"],
-            kinematic_viscosity_nu=d["environment"]["kinematic_viscosity"],
-        )
-        camera = CameraModel(
-            horizontal_fov=d["camera"]["horizontal_fov"],
-            vertical_fov=d["camera"]["vertical_fov"],
-            frame_rate=d["camera"]["frame_rate"],
-            max_range=d["camera"]["max_range"],
-            noise_sigma=d["camera"]["noise_sigma"],
-            points_per_detection=d["camera"]["points_per_detection"],
-            mount_pitch=d["camera"]["mount_pitch"],
-        )
-        limits = UavLimits(
-            max_speed=d["uav"]["limits"]["max_speed"],
-            max_accel=d["uav"]["limits"]["max_accel"],
-            max_yaw_rate=d["uav"]["limits"]["max_yaw_rate"],
-            intercept_radius=d["uav"]["limits"]["intercept_radius"],
-        )
+        for name, cls in _NESTED.items():
+            kwargs[name] = cls(**kwargs[name])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = ScenarioConfig(
-        scenario_id=sid,
-        seed=d["seed"],
-        physics_dt=d["physics_dt"],
-        max_sim_time=d["max_sim_time"],
-        ball_position=d["ball"]["position"],
-        ball_velocity=d["ball"]["velocity"],
-        ball_motion=BallMotion(d["ball"]["motion"]),
-        projectile=projectile,
-        environment=environment,
-        camera=camera,
-        limits=limits,
-        kp=d["uav"]["gains"]["kp"],
-        kd=d["uav"]["gains"]["kd"],
-        start_elevation=d["uav"]["start_elevation"],
-        height_comp_gain=d["uav"]["height_comp_gain"],
-        method=method,
-        yaw_enabled=yaw_enabled,
-        tilt_coupling=d["planner"]["tilt_coupling"],
-        edge_threshold=d["planner"]["edge_threshold"],
-        hysteresis_dist=d["planner"]["hysteresis_dist"],
-        queue_capacity=d["prediction"]["queue_capacity"],
-        t_step=d["prediction"]["t_step"],
-        max_horizon=d["prediction"]["max_horizon"],
-        ground_height=d["prediction"]["ground_height"],
-        plane_point=plane["point"],
-        plane_normal=plane["normal"],
-    )
+    cfg = ScenarioConfig(**kwargs)
     _validate_semantics(cfg)
     return cfg
 
@@ -408,7 +333,7 @@ def _check_throw_geometry(cfg: ScenarioConfig):
             f"scenario {cfg.scenario_id.value}: the throw's predicted path cannot be computed ({exc})"
         ) from exc
     uav0 = hover_init(cfg.start_elevation)
-    region = reachable_region(path, 0.0, 0.0, uav0, cfg.limits)
+    region = reachable_region(path, 0.0, uav0, cfg.limits)
     if len(region) == 0:
         raise ConfigError(
             f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover"
@@ -426,23 +351,24 @@ def _check_throw_geometry(cfg: ScenarioConfig):
         )
 
 
-def load_config(path: str | Path, allow_method_override: bool = False) -> ScenarioConfig:
-    """Load and validate a scenario config JSON file."""
-    path = Path(path)
+def load_raw_config(path: Path) -> dict:
+    """Read a config file's JSON, not yet validated; a missing file or bad JSON is a ConfigError."""
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(raw, allow_method_override=allow_method_override)
+
+
+def load_config(path: str | Path, allow_method_override: bool = False) -> ScenarioConfig:
+    """Load and validate a scenario config JSON file."""
+    return config_from_dict(load_raw_config(Path(path)), allow_method_override=allow_method_override)
 
 
 def bundled_config(scenario: str | ScenarioId) -> ScenarioConfig:
     """Load one of the packaged default scenario configs."""
-    sid = ScenarioId(scenario)
-    with resources.files("catchsim.scenarios").joinpath(f"{sid.value}.json").open() as f:
-        return config_from_dict(json.load(f))
+    return config_from_dict(load_raw_config(_SCENARIOS / f"{ScenarioId(scenario).value}.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +448,15 @@ def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: Reachable
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Run one scenario to termination; fully deterministic given cfg."""
-    if cfg.scenario_id is ScenarioId.PLANAR2D:
-        return run_planar2d(cfg)
-    return _run_loop(cfg, planar=False)
+    """Run one scenario to termination; fully deterministic given cfg.
 
-
-def run_planar2d(cfg: ScenarioConfig) -> ScenarioResult:
-    """Plane-restricted prediction experiment.
-
-    The UAV is constrained to the configured vertical plane; every frame
-    the predicted path's plane crossing becomes the (projected) setpoint,
-    and the recorded prediction error is the distance between predicted
-    and actual crossing points (filled in after the run, once the true
-    trajectory is known).
+    In planar2d the UAV is constrained to the configured vertical plane;
+    every frame the predicted path's plane crossing becomes the (projected)
+    setpoint, and the recorded prediction error is the distance between
+    predicted and actual crossing points (filled in after the run, once the
+    true trajectory is known).
     """
-    if cfg.scenario_id is not ScenarioId.PLANAR2D:
-        raise ConfigError(f"run_planar2d requires scenario_id 'planar2d', got {cfg.scenario_id.value}")
-    return _run_loop(cfg, planar=True)
+    return _run_loop(cfg, planar=cfg.scenario_id is ScenarioId.PLANAR2D)
 
 
 def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
@@ -597,7 +514,7 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
                         cfg, queue, obs, uav, sp, stop, t
                     )
                 else:
-                    sp = plan_cat_mouse(obs, uav, cfg.yaw_enabled, cam, cfg.edge_threshold)
+                    sp = plan_cat_mouse(obs, uav, cfg.yaw_enabled, cfg.edge_threshold)
             records.append(
                 MetricsRecord(
                     time=t,
@@ -686,7 +603,6 @@ def _tail_end(truth: GroundTruth, start: int, horizon: float, ground_height: flo
 
 def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     """Shortest/fastest planning with cat & mouse fallback and setpoint hysteresis."""
-    cam = cfg.camera
     proposal = None
     predicted_point = None
     chosen_idx = None
@@ -695,7 +611,7 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     region = None
     if len(queue) >= 2:
         path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
-        region = reachable_region(path, float(path.times[0]), now, uav, cfg.limits)
+        region = reachable_region(path, now, uav, cfg.limits)
         if len(region) > 0:
             sp_short = plan_shortest(path, region, uav)
             if cfg.method is PlanMethod.FASTEST_PATH:
@@ -709,7 +625,7 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     if proposal is None:
         # empty region (or too few observations): chase the detection so the
         # ball stays in frame for later re-prediction
-        sp = plan_cat_mouse(obs, uav, True, cam, cfg.edge_threshold)
+        sp = plan_cat_mouse(obs, uav, True, cfg.edge_threshold)
     else:
         if sp.path_index is None:
             sp = proposal
@@ -718,13 +634,12 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
             if moved or _old_target_left_region(sp, path, region):
                 sp = proposal
     # methods 2 & 3 always yaw to keep the object in view
-    sp = dataclasses.replace(sp, target_yaw=yaw_command(obs, uav, cam, cfg.edge_threshold))
+    sp = dataclasses.replace(sp, target_yaw=yaw_command(obs, uav, cfg.edge_threshold))
     return sp, predicted_point, chosen_idx, shortest_idx
 
 
 def _plan_planar(cfg, queue, obs, uav, stop, to_plane):
     """Plane-crossing setpoint for the 2D experiment (falls back to projected chase)."""
-    cam = cfg.camera
     predicted_point = None
     target = None
     if len(queue) >= 2:
@@ -737,7 +652,7 @@ def _plan_planar(cfg, queue, obs, uav, stop, to_plane):
         target = to_plane(np.asarray(obs.position, dtype=float))
     sp = Setpoint(
         target_position=target,
-        target_yaw=yaw_command(obs, uav, cam, cfg.edge_threshold),
+        target_yaw=yaw_command(obs, uav, cfg.edge_threshold),
         source_method=PlanMethod.SHORTEST_PATH,
         path_index=None,
     )

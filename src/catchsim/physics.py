@@ -38,17 +38,11 @@ class DragMode(str, Enum):
     """How drag enters the acceleration.
 
     velocity_opposed: drag magnitude applied along -v_hat in a z-up world
-        frame with gravity (0, 0, -g). This is the physically consistent
-        default.
-    paper_exact: the component equations evaluated literally with
-        phi = atan2(U, W), theta = atan2(V, U) and +g on the y axis.
-        Kept for comparison; its output is NOT guaranteed to oppose the
-        velocity vector (the angle/axis conventions are ambiguous).
+        frame with gravity (0, 0, -g). This is the default.
     none: gravity only.
     """
 
     VELOCITY_OPPOSED = "velocity_opposed"
-    PAPER_EXACT = "paper_exact"
     NONE = "none"
 
 
@@ -127,15 +121,6 @@ class BallState:
         return float(np.linalg.norm(self.velocity))
 
 
-@dataclass
-class DragDecomposition:
-    """Drag magnitude and the flight-direction angles used by paper_exact mode."""
-
-    drag_magnitude_Dr: float  # N, >= 0
-    phi: float  # rad, atan2(U, W)
-    theta: float  # rad, atan2(V, U)
-
-
 def reynolds_number(speed: float, diameter: float, nu: float) -> float:
     """Re = V D / nu for a sphere of the given diameter."""
     if not (math.isfinite(speed) and math.isfinite(diameter) and math.isfinite(nu)):
@@ -170,17 +155,6 @@ def drag_force(rho: float, Cd: float, speed: float, area: float) -> float:
     return 0.5 * rho * Cd * speed * speed * area
 
 
-def drag_decomposition(velocity: np.ndarray, params: ProjectileParams, env: Environment) -> DragDecomposition:
-    """Drag magnitude plus the (phi, theta) angles of the literal component form."""
-    u, v, w = (float(c) for c in velocity)
-    speed = math.sqrt(u * u + v * v + w * w)
-    if speed < _SPEED_FLOOR:
-        return DragDecomposition(0.0, 0.0, 0.0)
-    Re = reynolds_number(speed, params.diameter_D, env.kinematic_viscosity_nu)
-    Dr = drag_force(env.air_density_rho, drag_coefficient(Re), speed, params.reference_area_A)
-    return DragDecomposition(Dr, math.atan2(u, w), math.atan2(v, u))
-
-
 def _drag_accel_over_speed(speed: float, params: ProjectileParams, env: Environment) -> float:
     """(D_r / m) / speed, i.e. the factor k such that a_drag = -k * v."""
     Re = speed * params.diameter_D / env.kinematic_viscosity_nu
@@ -194,27 +168,13 @@ def _accel_components(
 ) -> tuple[float, float, float]:
     """Scalar acceleration kernel shared by the public API and the integrator."""
     g = env.gravity_g
-    mode = params.drag_mode
-    if mode is DragMode.NONE:
+    if params.drag_mode is DragMode.NONE:
         return 0.0, 0.0, -g
     speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if mode is DragMode.VELOCITY_OPPOSED:
-        if speed < _SPEED_FLOOR:
-            return 0.0, 0.0, -g
-        k = _drag_accel_over_speed(speed, params, env)
-        return -k * vx, -k * vy, -g - k * vz
-    # paper_exact: the component equations verbatim, +g on the y axis
     if speed < _SPEED_FLOOR:
-        return 0.0, g, 0.0
-    Re = speed * params.diameter_D / env.kinematic_viscosity_nu
-    Dr = 0.5 * env.air_density_rho * drag_coefficient(Re) * speed * speed * params.reference_area_A
-    dm = Dr / params.mass_m
-    phi = math.atan2(vx, vz)
-    theta = math.atan2(vy, vx)
-    ax = -dm * math.sin(phi) * math.cos(theta)
-    ay = g - dm * math.sin(phi) * math.sin(theta)
-    az = -dm * math.cos(phi) * math.cos(theta)
-    return ax, ay, az
+        return 0.0, 0.0, -g
+    k = _drag_accel_over_speed(speed, params, env)
+    return -k * vx, -k * vy, -g - k * vz
 
 
 def acceleration(state: BallState, params: ProjectileParams, env: Environment) -> np.ndarray:

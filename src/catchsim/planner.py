@@ -9,8 +9,9 @@ Three methods over the predicted object path:
   along the object's path.
 
 Plus the yaw law that re-centres the object when it drifts too close to
-the FOV edge, and the trapezoidal time-to-reach bound behind the
-reachable-region computation.
+the FOV edge, and the trapezoidal time-to-reach estimate behind the
+reachable-region computation. That estimate starts the UAV from rest, so
+it is optimistic when the UAV is moving away from a target.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .predictor import PredictedPath
-from .sensor import CameraModel, Observation
+from .sensor import Observation
 from .vehicle import UavState, wrap_angle
 
 
@@ -80,69 +81,55 @@ class ReachableRegion:
         return len(self.indices)
 
 
-def time_to_reach(uav: UavState, limits: UavLimits, target: np.ndarray) -> float:
-    """Trapezoidal point-mass bound: accelerate from rest, then cruise.
+def _trapezoid_time(d, limits: UavLimits) -> np.ndarray:
+    """Time to cover distance(s) d from rest: accelerate, then cruise.
 
-    For distance d with accel a and cruise speed v:
-    t = d/v + v/(2a) once d >= v^2/(2a), else t = sqrt(2 d / a).
-    Current velocity and yaw dynamics are deliberately ignored; this is a
-    conservative closed-form estimate.
+    With accel a and cruise speed v: t = d/v + v/(2a) once d >= v^2/(2a),
+    else t = sqrt(2 d / a).
+    """
+    v, a = limits.max_speed, limits.max_accel
+    with np.errstate(invalid="ignore"):
+        return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
+
+
+def time_to_reach(uav: UavState, limits: UavLimits, target: np.ndarray) -> float:
+    """Trapezoidal point-mass estimate: accelerate from rest, then cruise.
+
+    The current velocity and the yaw dynamics are ignored. The estimate is
+    therefore not a bound: it is optimistic when the UAV is moving away
+    from the target (it must first brake) and pessimistic when the UAV is
+    already flying towards it.
     """
     d = float(np.linalg.norm(np.asarray(target, dtype=float) - uav.position))
-    v, a = limits.max_speed, limits.max_accel
-    if d >= v * v / (2.0 * a):
-        return d / v + v / (2.0 * a)
-    return math.sqrt(2.0 * d / a)
+    return float(_trapezoid_time(d, limits))
 
 
-def reachable_region(
-    path: PredictedPath,
-    path_start_time: float,
-    now: float,
-    uav: UavState,
-    limits: UavLimits,
-) -> ReachableRegion:
+def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: UavLimits) -> ReachableRegion:
     """Indices i with time_to_reach(sample_i) <= sample_i arrival time - now.
 
-    `path_start_time` is the seed time of the path's first sample; sample
-    times are absolute, so the inclusion test only needs `now`.
+    Sample times are absolute, so the inclusion test only needs `now`.
     """
-    v, a = limits.max_speed, limits.max_accel
     d = np.linalg.norm(path.positions - uav.position, axis=1)
-    d_ramp = v * v / (2.0 * a)
-    with np.errstate(invalid="ignore"):
-        t_reach = np.where(d >= d_ramp, d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
-    margins = (path.times - now) - t_reach
+    margins = (path.times - now) - _trapezoid_time(d, limits)
     mask = margins >= 0.0
     return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask])
 
 
-def yaw_command(
-    obs: Observation,
-    uav: UavState,
-    cam: CameraModel,
-    edge_threshold: float = 0.8,
-) -> float:
+def yaw_command(obs: Observation, uav: UavState, edge_threshold: float = 0.8) -> float:
     """Absolute yaw that re-centres the object once it nears the FOV edge.
 
-    Engages at edge_fraction >= edge_threshold (the bearing geometry is
-    already distilled into the observation, so `cam` is not consulted);
-    otherwise holds the current heading. Output is normalized to (-pi, pi].
+    Engages at edge_fraction >= edge_threshold (the observation already
+    carries the bearing geometry); otherwise holds the current heading.
+    Output is normalized to (-pi, pi].
     """
     if obs.edge_fraction >= edge_threshold:
         return wrap_angle(uav.yaw + obs.bearing_azimuth)
     return wrap_angle(uav.yaw)
 
 
-def plan_cat_mouse(
-    obs: Observation,
-    uav: UavState,
-    yaw_enabled: bool,
-    cam: CameraModel,
-    yaw_threshold: float = 0.8,
-) -> Setpoint:
+def plan_cat_mouse(obs: Observation, uav: UavState, yaw_enabled: bool, yaw_threshold: float = 0.8) -> Setpoint:
     """Chase the detection: the setpoint is exactly the observed position."""
-    target_yaw = yaw_command(obs, uav, cam, yaw_threshold) if yaw_enabled else wrap_angle(uav.yaw)
+    target_yaw = yaw_command(obs, uav, yaw_threshold) if yaw_enabled else wrap_angle(uav.yaw)
     return Setpoint(
         target_position=np.asarray(obs.position, dtype=float).copy(),
         target_yaw=target_yaw,

@@ -127,10 +127,6 @@ class PredictedPath:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def samples(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.positions[i], float(self.times[i])) for i in range(len(self.times))]
-
 
 def predict_path(
     initial: BallState,

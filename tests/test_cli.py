@@ -3,6 +3,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from catchsim.cli import main
 
 
@@ -53,10 +55,18 @@ class TestRun:
 
     def test_unpredictable_throw_exits_2(self, tmp_path, capsys):
         raw = bundled_raw("D")
-        raw["projectile"] = {"drag_mode": "paper_exact"}
+        raw["ball"]["velocity"] = [1e306, 1e306, 1e306]
         cfg = write_cfg(tmp_path, "D.json", raw)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "scenario D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
+    def test_removed_drag_mode_exits_2(self, sid, tmp_path, capsys):
+        raw = bundled_raw(sid)
+        raw["projectile"] = {"drag_mode": "paper_exact"}
+        cfg = write_cfg(tmp_path, f"{sid}.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "projectile.drag_mode" in capsys.readouterr().err
 
     def test_seed_override_changes_noise(self, tmp_path):
         cfg = write_cfg(tmp_path, "D.json", bundled_raw("D"))

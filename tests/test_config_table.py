@@ -1,0 +1,108 @@
+"""The schema is the one config table: loading and `to_dict` both follow it.
+
+Properties over schema-valid edits of the bundled configs: `to_dict`
+is a fixed point of loading, and it emits exactly the schema's leaves.
+Plus: every schema default equals the matching dataclass default, since
+defaults are declared both in the schema and on the parameter classes.
+"""
+
+import dataclasses
+import json
+from importlib import resources
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from catchsim.harness import ConfigError, ScenarioConfig, config_from_dict
+
+SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
+SCHEMA = json.loads(resources.files("catchsim.scenarios").joinpath("schema.json").read_text())
+
+
+def bundled_raw(sid):
+    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
+
+
+def schema_leaves(node=SCHEMA, path=()):
+    for key, sub in node["fields"].items():
+        if sub["type"] == "object":
+            yield from schema_leaves(sub, path + (key,))
+        else:
+            yield path + (key,), sub
+
+
+def dict_leaves(d, path=()):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from dict_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+LEAVES = dict(schema_leaves())
+# scenario_id and the plane decide which other fields are legal at all
+EDITABLE = sorted(path for path in LEAVES if path[0] not in ("scenario_id", "plane"))
+
+
+def leaf_values(node):
+    """Values the schema accepts for one leaf (small ranges, so most edits also load)."""
+    kind = node["type"]
+    if "enum" in node:
+        return st.sampled_from(node["enum"])
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "integer":
+        return st.integers(node.get("min", 0), node.get("min", 0) + 60)
+    if kind == "vec3":
+        return st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
+    lo = node.get("min", node.get("min_exclusive", -3.0))
+    return st.floats(lo, lo + 3.0, exclude_min="min_exclusive" in node)
+
+
+@st.composite
+def edited_configs(draw):
+    sid = draw(st.sampled_from(SCENARIOS))
+    raw = bundled_raw(sid)
+    for path in draw(st.lists(st.sampled_from(EDITABLE), max_size=4, unique=True)):
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(leaf_values(LEAVES[path]))
+    try:
+        return config_from_dict(raw, allow_method_override=True)
+    except ConfigError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=edited_configs())
+def test_to_dict_is_a_fixed_point(cfg):
+    d = cfg.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert config_from_dict(d, allow_method_override=True).to_dict() == d
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=edited_configs())
+def test_to_dict_emits_exactly_the_schema_leaves(cfg):
+    expected = {path for path in LEAVES if path[0] != "plane" or cfg.scenario_id.value == "planar2d"}
+    emitted = list(dict_leaves(cfg.to_dict()))
+    assert len(emitted) == len(set(emitted))
+    assert set(emitted) == expected
+
+
+def dataclass_default(attr: str):
+    *owner, name = attr.split(".")
+    cls = ScenarioConfig
+    if owner:
+        cls = {f.name: f.default_factory for f in dataclasses.fields(ScenarioConfig)}[owner[0]]
+    return {f.name: f for f in dataclasses.fields(cls)}[name].default
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, node in LEAVES.items() if "default" in node], ids=".".join
+)
+def test_schema_default_equals_dataclass_default(path):
+    node = LEAVES[path]
+    assert node["default"] == dataclass_default(node["attr"])

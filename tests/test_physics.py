@@ -102,12 +102,6 @@ class TestAcceleration:
             a = acceleration(ball((0, 0, 0)), ProjectileParams(drag_mode=mode), env)
             assert np.array_equal(a, [0.0, 0.0, -env.gravity_g]), mode
 
-    def test_rest_paper_exact_gravity_axis(self):
-        # literal component equations place +g on the y axis
-        env = Environment()
-        a = acceleration(ball((0, 0, 0)), ProjectileParams(drag_mode=DragMode.PAPER_EXACT), env)
-        assert np.array_equal(a, [0.0, env.gravity_g, 0.0])
-
     def test_vertical_ascent_drag_is_antiparallel(self):
         env = Environment()
         params = ProjectileParams()
@@ -128,24 +122,6 @@ class TestAcceleration:
         Dr = 0.5 * env.air_density_rho * drag_coefficient(Re) * speed**2 * params.reference_area_A
         expected = np.array([0.0, 0.0, -env.gravity_g]) - (Dr / params.mass_m) * (v / speed)
         a = acceleration(ball(v), params, env)
-        assert np.allclose(a, expected, rtol=1e-12, atol=0.0)
-
-    def test_paper_exact_matches_literal_equations(self):
-        env = Environment()
-        params = ProjectileParams(drag_mode=DragMode.PAPER_EXACT)
-        u, v, w = 2.0, -1.0, 3.0
-        speed = math.sqrt(u * u + v * v + w * w)
-        Re = speed * params.diameter_D / env.kinematic_viscosity_nu
-        Dr = 0.5 * env.air_density_rho * drag_coefficient(Re) * speed**2 * params.reference_area_A
-        dm = Dr / params.mass_m
-        phi = math.atan2(u, w)
-        theta = math.atan2(v, u)
-        expected = [
-            -dm * math.sin(phi) * math.cos(theta),
-            env.gravity_g - dm * math.sin(phi) * math.sin(theta),
-            -dm * math.cos(phi) * math.cos(theta),
-        ]
-        a = acceleration(ball((u, v, w)), params, env)
         assert np.allclose(a, expected, rtol=1e-12, atol=0.0)
 
     def test_drag_never_pushes_along_velocity(self):

@@ -18,7 +18,7 @@ from catchsim.planner import (
     yaw_command,
 )
 from catchsim.predictor import PredictedPath
-from catchsim.sensor import CameraModel, Observation
+from catchsim.sensor import Observation
 from catchsim.vehicle import UavState, hover_init
 
 
@@ -71,7 +71,7 @@ class TestTimeToReach:
 class TestReachableRegion:
     def test_uav_already_at_sample(self):
         path = path_from([[0.0, 0.0, 2.0], [5.0, 0.0, 2.0]], t0=1.0, t_step=0.5)
-        region = reachable_region(path, 1.0, now=0.4, uav=hover_init(2.0), limits=UavLimits())
+        region = reachable_region(path, now=0.4, uav=hover_init(2.0), limits=UavLimits())
         assert 0 in region.indices
         k = list(region.indices).index(0)
         assert region.margins[k] == pytest.approx(0.6)  # arrival 1.0 - now 0.4
@@ -79,7 +79,7 @@ class TestReachableRegion:
     def test_everything_reachable_with_huge_limits(self):
         limits = UavLimits(max_speed=1e9, max_accel=1e12)
         path = path_from([[1.0, 0.0, 2.0], [2.0, 0.0, 2.0], [3.0, 0.0, 2.0]], t0=0.0, t_step=0.1)
-        region = reachable_region(path, 0.0, now=0.0, uav=hover_init(2.0), limits=limits)
+        region = reachable_region(path, now=0.0, uav=hover_init(2.0), limits=limits)
         assert list(region.indices) == [1, 2]  # sample times strictly after `now`
 
     def test_three_sample_hand_check(self):
@@ -87,7 +87,7 @@ class TestReachableRegion:
         # t_reach(0.75) = 0.5 <= 0.6 (in, margin 0.1); t_reach(6) = 2.25 > 1.2 (out)
         limits = UavLimits(max_speed=3.0, max_accel=6.0)
         path = path_from([[0.1, 0.0, 2.0], [0.75, 0.0, 2.0], [6.0, 0.0, 2.0]], t0=0.0, t_step=0.6)
-        region = reachable_region(path, 0.0, now=0.0, uav=hover_init(2.0), limits=limits)
+        region = reachable_region(path, now=0.0, uav=hover_init(2.0), limits=limits)
         assert list(region.indices) == [1]
         assert region.margins[0] == pytest.approx(0.6 - 0.5, abs=1e-12)
 
@@ -97,34 +97,33 @@ class TestReachableRegion:
         for _ in range(50):
             pts = rng.uniform([-4, -4, 0], [4, 4, 4], size=(30, 3))
             path = path_from(pts, t0=rng.uniform(0, 2), t_step=0.05)
-            region = reachable_region(path, float(path.times[0]), now=float(path.times[0]), uav=hover_init(2.0), limits=limits)
+            region = reachable_region(path, now=float(path.times[0]), uav=hover_init(2.0), limits=limits)
             assert np.all(region.margins >= 0.0)
             assert np.all(np.diff(region.indices) > 0)
 
     def test_tiny_speed_empties_region(self):
         limits = UavLimits(max_speed=1e-9, max_accel=1e-9)
         pts = [[2.0, 0.0, 2.0], [2.5, 0.0, 2.0]]
-        region = reachable_region(path_from(pts), 0.0, 0.0, hover_init(2.0), limits)
+        region = reachable_region(path_from(pts), 0.0, hover_init(2.0), limits)
         assert len(region) == 0
 
 
 class TestPlanCatMouse:
     def test_target_is_observation(self):
         obs = obs_with(0.0, 0.0, position=(4.0, 1.0, 2.0))
-        sp = plan_cat_mouse(obs, hover_init(2.0), yaw_enabled=False, cam=CameraModel())
+        sp = plan_cat_mouse(obs, hover_init(2.0), yaw_enabled=False)
         assert np.array_equal(sp.target_position, [4.0, 1.0, 2.0])
         assert sp.source_method is PlanMethod.CAT_MOUSE
         assert sp.path_index is None
 
     def test_successive_observations_tracked(self):
         uav = hover_init(2.0)
-        cam = CameraModel()
         for x in (4.0, 4.2, 4.4):
-            sp = plan_cat_mouse(obs_with(0.0, 0.0, position=(x, 0.0, 2.0)), uav, False, cam)
+            sp = plan_cat_mouse(obs_with(0.0, 0.0, position=(x, 0.0, 2.0)), uav, False)
             assert sp.target_position[0] == x
 
     def test_boresight_keeps_yaw(self):
-        sp = plan_cat_mouse(obs_with(0.0, 0.0), uav_at([0, 0, 2], yaw=0.3), True, CameraModel())
+        sp = plan_cat_mouse(obs_with(0.0, 0.0), uav_at([0, 0, 2], yaw=0.3), True)
         assert sp.target_yaw == pytest.approx(0.3)
 
 
@@ -188,20 +187,19 @@ class TestPlanShortestFastest:
 
 class TestYawCommand:
     def test_centered_object_keeps_yaw(self):
-        yaw = yaw_command(obs_with(0.0, 0.5), uav_at([0, 0, 2], yaw=0.2), CameraModel())
+        yaw = yaw_command(obs_with(0.0, 0.5), uav_at([0, 0, 2], yaw=0.2))
         assert yaw == pytest.approx(0.2)
 
     def test_recentres_past_threshold(self):
-        yaw = yaw_command(obs_with(0.9, 0.5), uav_at([0, 0, 2], yaw=0.2), CameraModel())
+        yaw = yaw_command(obs_with(0.9, 0.5), uav_at([0, 0, 2], yaw=0.2))
         assert yaw == pytest.approx(0.7)
 
     def test_engages_exactly_at_threshold(self):
-        yaw = yaw_command(obs_with(0.8, 0.1), uav_at([0, 0, 2], yaw=0.0), CameraModel(), edge_threshold=0.8)
+        yaw = yaw_command(obs_with(0.8, 0.1), uav_at([0, 0, 2], yaw=0.0), edge_threshold=0.8)
         assert yaw == pytest.approx(0.1)
 
     def test_invariant_under_full_turn(self):
         obs = obs_with(0.95, -0.4)
-        cam = CameraModel()
-        base = yaw_command(obs, uav_at([0, 0, 2], yaw=0.3), cam)
-        shifted = yaw_command(obs, uav_at([0, 0, 2], yaw=0.3 + 2 * math.pi), cam)
+        base = yaw_command(obs, uav_at([0, 0, 2], yaw=0.3))
+        shifted = yaw_command(obs, uav_at([0, 0, 2], yaw=0.3 + 2 * math.pi))
         assert shifted == pytest.approx(base, abs=1e-12)

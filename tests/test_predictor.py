@@ -113,7 +113,7 @@ class TestPredictPath:
         path = predict_path(seed, params, env, t_step=0.01, stop=PropagationStop(1.0, -100.0))
         g = np.array([0.0, 0.0, -env.gravity_g])
         worst = 0.0
-        for pos, t in path.samples:
+        for pos, t in zip(path.positions, path.times):
             analytic = seed.position + seed.velocity * t + 0.5 * g * t * t
             worst = max(worst, float(np.linalg.norm(pos - analytic)))
         assert worst < 5e-3, f"max deviation {worst}"
