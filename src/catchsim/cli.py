@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes are the only pass/fail channel: diagnostics go to stderr,
 data to files. `run` exits 0 for any completed simulation (regardless of
-interception), 2 for a malformed config, 3 for I/O failures.
+interception), 2 for a malformed config or a ball whose true (or
+predicted) path cannot be computed, 3 for I/O failures.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ def cmd_run(args) -> int:
         raw = load_raw_config(Path(args.config))
         raw, override = _apply_overrides(raw, args)
         cfg = config_from_dict(raw, allow_method_override=override)
+        result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(cfg)
     try:
         trace, summary = write_outputs(result, args.out, cfg.scenario_id.value)
     except OSError as exc:

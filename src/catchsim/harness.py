@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -61,6 +62,8 @@ from .vehicle import UavState, hover_init, step_uav
 # Terminate once the ball has been unseen this long after at least one
 # detection ("lost beyond recovery").
 BALL_LOST_TIMEOUT = 1.0  # s
+# Most steps one predicted path may take (max_horizon / t_step); every frame propagates one.
+MAX_PREDICTED_STEPS = 100_000
 
 TRACE_HEADER = (
     "time,ball_x,ball_y,ball_z,obs_x,obs_y,obs_z,pred_x,pred_y,pred_z,"
@@ -252,7 +255,7 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
 
     Unknown fields are rejected. The scenario's canonical planning method
     and yaw wiring are enforced unless allow_method_override is set (used
-    by the CLI --method flag).
+    by the CLI --method flag); planar2d's method is enforced even then.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -266,12 +269,14 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
     method = PlanMethod(method) if method is not None else _SCENARIO_METHOD[sid]
     yaw_enabled = kwargs["yaw_enabled"]
     yaw_enabled = yaw_enabled if yaw_enabled is not None else _SCENARIO_YAW.get(sid, True)
-    if not allow_method_override:
+    # planar2d's plane-crossing planner reads no method, so it has none to override
+    if not allow_method_override or sid is ScenarioId.PLANAR2D:
         if method is not _SCENARIO_METHOD[sid]:
             raise ConfigError(
                 f"planner.method: scenario {sid.value} requires "
                 f"'{_SCENARIO_METHOD[sid].value}', got '{method.value}'"
             )
+    if not allow_method_override:
         if sid in _SCENARIO_YAW and yaw_enabled is not _SCENARIO_YAW[sid]:
             raise ConfigError(
                 f"planner.yaw_enabled: scenario {sid.value} requires {_SCENARIO_YAW[sid]}"
@@ -307,8 +312,19 @@ def _validate_semantics(cfg: ScenarioConfig):
         start = np.array([0.0, 0.0, cfg.start_elevation])
         if abs(float((start - cfg.plane_point) @ n)) > 1e-6:
             raise ConfigError("plane: the UAV start position (0, 0, start_elevation) must lie on the plane")
+    if cfg.method is not PlanMethod.CAT_MOUSE and cfg.max_horizon / cfg.t_step > MAX_PREDICTED_STEPS:
+        raise ConfigError(f"prediction.t_step: max_horizon / t_step must be <= {MAX_PREDICTED_STEPS}")
     if cfg.scenario_id in (ScenarioId.D, ScenarioId.E) and cfg.ball_motion is BallMotion.BALLISTIC:
         _check_throw_geometry(cfg)
+
+
+@contextmanager
+def _as_config_error(what: str):
+    """A float failure (ArithmeticError, ValueError) in the block becomes ConfigError("what (error)")."""
+    try:
+        yield
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"{what} ({exc})") from exc
 
 
 def _check_throw_geometry(cfg: ScenarioConfig):
@@ -320,7 +336,7 @@ def _check_throw_geometry(cfg: ScenarioConfig):
     point to differ from the nearest one (so the two methods actually
     choose differently).
     """
-    try:
+    with _as_config_error(f"scenario {cfg.scenario_id.value}: the throw's predicted path cannot be computed"):
         path = predict_path(
             BallState(cfg.ball_position.copy(), cfg.ball_velocity.copy(), 0.0),
             cfg.projectile,
@@ -328,10 +344,6 @@ def _check_throw_geometry(cfg: ScenarioConfig):
             t_step=cfg.t_step,
             stop=PropagationStop(cfg.max_horizon, cfg.ground_height),
         )
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError(
-            f"scenario {cfg.scenario_id.value}: the throw's predicted path cannot be computed ({exc})"
-        ) from exc
     uav0 = hover_init(cfg.start_elevation)
     region = reachable_region(path, 0.0, uav0, cfg.limits)
     if len(region) == 0:
@@ -413,16 +425,9 @@ def _point_to_polyline(point: np.ndarray, vertices: np.ndarray) -> float:
     return float(np.linalg.norm(point - closest, axis=1).min())
 
 
-def prediction_error(predicted_point: np.ndarray, true_trajectory) -> float:
-    """Distance from a predicted point to its closest point on the real trajectory.
-
-    `true_trajectory` is a sequence of (position, time) samples (or a bare
-    (N, 3) array); the distance is taken to the polyline through them.
-    """
-    if isinstance(true_trajectory, np.ndarray) and true_trajectory.ndim == 2:
-        vertices = np.asarray(true_trajectory, dtype=float)
-    else:
-        vertices = np.array([np.asarray(p, dtype=float) for p, _ in true_trajectory])
+def prediction_error(predicted_point: np.ndarray, true_trajectory: np.ndarray) -> float:
+    """Distance from a predicted point to the polyline through an (N, 3) true trajectory."""
+    vertices = np.asarray(true_trajectory, dtype=float)
     if len(vertices) == 0:
         raise ValueError("true_trajectory must be non-empty")
     return _point_to_polyline(np.asarray(predicted_point, dtype=float), vertices)
@@ -454,16 +459,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     every frame the predicted path's plane crossing becomes the (projected)
     setpoint, and the recorded prediction error is the distance between
     predicted and actual crossing points (filled in after the run, once the
-    true trajectory is known).
+    true trajectory is known). A ball whose true path cannot be integrated
+    is a ConfigError, raised before the first tick; so is a frame whose
+    predicted path cannot be computed.
     """
-    return _run_loop(cfg, planar=cfg.scenario_id is ScenarioId.PLANAR2D)
-
-
-def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
     env, params, cam, limits = cfg.environment, cfg.projectile, cfg.camera, cfg.limits
     dt = cfg.physics_dt
     stop = PropagationStop(cfg.max_horizon, cfg.ground_height)
     predictive = cfg.method in (PlanMethod.SHORTEST_PATH, PlanMethod.FASTEST_PATH)
+    planar = cfg.scenario_id is ScenarioId.PLANAR2D
 
     if planar:
         p0, n_hat = cfg.plane_point, cfg.plane_normal
@@ -473,10 +477,11 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
 
     n_ticks = int(round(cfg.max_sim_time / dt))
     ballistic = cfg.ball_motion is BallMotion.BALLISTIC
-    truth = ground_truth(
-        cfg.ball_motion, cfg.ball_position, cfg.ball_velocity, params, env, dt,
-        cfg.ground_height, n_ticks, cfg.max_horizon,
-    )
+    with _as_config_error("ball: the true path cannot be integrated"):
+        truth = ground_truth(
+            cfg.ball_motion, cfg.ball_position, cfg.ball_velocity, params, env, dt,
+            cfg.ground_height, n_ticks, cfg.max_horizon,
+        )
     positions = truth.positions
 
     uav = hover_init(cfg.start_elevation)
@@ -541,8 +546,6 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
             vel = uav.velocity - float(uav.velocity @ n_hat) * n_hat
             uav = UavState(pos, vel, uav.yaw, uav.pitch, uav.time)
         i = k + 1
-        if i == len(truth):
-            raise truth.failure()
         t_end = i * dt
 
         d = float(np.linalg.norm(uav.position - positions[i]))
@@ -593,11 +596,11 @@ def _run_loop(cfg: ScenarioConfig, planar: bool) -> ScenarioResult:
 
 def _tail_end(truth: GroundTruth, start: int, horizon: float, ground_height: float) -> int:
     """Last truth index of the scored arc: from `start`, the ball flies on while
-    it is not below ground and less than `horizon` has passed since `start`."""
+    it is not below ground and less than `horizon` has passed since `start`.
+    The path always holds the sample that ends the arc: it stops below ground
+    or runs on for `horizon` plus a step past the last tick."""
     t_extend = truth.times[start] + horizon
     flying = (truth.positions[start:, 2] >= ground_height) & (truth.times[start:] < t_extend)
-    if flying.all():
-        raise truth.failure()
     return start + int(np.argmin(flying))
 
 
@@ -610,7 +613,8 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     path = None
     region = None
     if len(queue) >= 2:
-        path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
+        with _as_config_error("prediction: the predicted path cannot be computed"):
+            path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
         region = reachable_region(path, now, uav, cfg.limits)
         if len(region) > 0:
             sp_short = plan_shortest(path, region, uav)
@@ -643,7 +647,8 @@ def _plan_planar(cfg, queue, obs, uav, stop, to_plane):
     predicted_point = None
     target = None
     if len(queue) >= 2:
-        path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
+        with _as_config_error("prediction: the predicted path cannot be computed"):
+            path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
         crossing = plane_crossing(path, cfg.plane_point, cfg.plane_normal)
         if crossing is not None:
             predicted_point = crossing[0]

@@ -88,7 +88,10 @@ class ProjectileParams:
 
     def __post_init__(self):
         if self.reference_area_A is None:
-            self.reference_area_A = math.pi * self.diameter_D**2 / 4.0
+            try:
+                self.reference_area_A = math.pi * self.diameter_D**2 / 4.0
+            except OverflowError:  # D**2 past the float range: rejected below as inf
+                self.reference_area_A = math.inf
         self.drag_mode = DragMode(self.drag_mode)
         for name in ("mass_m", "diameter_D", "reference_area_A"):
             v = getattr(self, name)
@@ -231,22 +234,11 @@ class GroundTruth:
     """A ball's true path, one sample per physics step: sample i is at times[i].
 
     The arrays are read-only, because cached paths are shared between runs.
-    When a step failed, `error` is what it raised (or the ValueError a
-    non-finite state gets from BallState) and the path ends just before it;
-    a run that needs the sample past the end raises `failure()`.
     """
 
     positions: np.ndarray  # (n, 3) m
     velocities: np.ndarray  # (n, 3) m/s
     times: np.ndarray  # (n,) s
-    error: Exception | None = None
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def failure(self) -> Exception:
-        """A fresh copy of the stored error, to raise where the run needs sample n."""
-        return type(self.error)(*self.error.args)
 
 
 # Enough for the three bundled throws (D, E, planar2d) interleaved in one
@@ -273,8 +265,10 @@ def ground_truth(
     stops at the first sample after the start below ground_height. Samples
     equal, bit for bit, what repeated `step_ground_truth` calls (ballistic),
     `p + v * dt` (linear) or a constant position (frozen) give, with times
-    accumulated as `t + dt`. Results are cached by every input (LRU, at
-    most TRUTH_CACHE_SIZE paths).
+    accumulated as `t + dt`. A step that fails raises at once, as stepping
+    would: ArithmeticError or ValueError, and ValueError(_NONFINITE_STATE)
+    for a non-finite sample. Complete paths are cached by every input (LRU,
+    at most TRUTH_CACHE_SIZE paths).
     """
     motion = BallMotion(motion)
     numbers = (
@@ -291,12 +285,21 @@ def ground_truth(
         return truth
     p0 = np.array(position, dtype=float)
     v0 = np.array(velocity, dtype=float)
-    error = None
     if motion is BallMotion.BALLISTIC:
         # one step of slack: a tail that starts before the last tick may need one
         # more step to cover tail_time, as the accumulated times round differently
         last = n_ticks + math.ceil(tail_time / dt) + 1
-        positions, velocities, error = _integrate_ballistic(p0, v0, params, env, dt, ground_height, last)
+        state = (*p0.tolist(), *v0.tolist())
+        samples = array("d", state)
+        for _ in range(last):
+            state = _rk4_step(*state, params, env, dt)
+            if not all(map(math.isfinite, state)):
+                raise ValueError(_NONFINITE_STATE)
+            samples.extend(state)
+            if state[2] < ground_height:
+                break
+        rows = np.frombuffer(samples).reshape(-1, 6)
+        positions, velocities = rows[:, :3].copy(), rows[:, 3:].copy()
     else:
         n = n_ticks + 1
         velocities = np.broadcast_to(v0, (n, 3))
@@ -307,47 +310,16 @@ def ground_truth(
             increments[0] = p0
             increments[1:] = v0 * dt
             positions = np.add.accumulate(increments, axis=0)
-            finite = np.isfinite(positions).all(axis=1)
-            if not finite.all():
-                n = int(np.argmin(finite))
-                positions, velocities = positions[:n].copy(), velocities[:n]
-                error = ValueError(_NONFINITE_STATE)
+            if not np.isfinite(positions).all():
+                raise ValueError(_NONFINITE_STATE)
     steps = np.full(len(positions), dt)
     steps[0] = 0.0
     times = np.add.accumulate(steps)
     for a in (positions, velocities, times):
         a.flags.writeable = False
-    truth = GroundTruth(positions, velocities, times, error)
+    truth = GroundTruth(positions, velocities, times)
     _truth_cache[key] = truth
     if len(_truth_cache) > TRUTH_CACHE_SIZE:
         _truth_cache.popitem(last=False)
     return truth
 
-
-def _integrate_ballistic(
-    p0: np.ndarray,
-    v0: np.ndarray,
-    params: ProjectileParams,
-    env: Environment,
-    dt: float,
-    ground_height: float,
-    last: int,
-) -> tuple[np.ndarray, np.ndarray, Exception | None]:
-    """RK4 samples 0..last, stopping early below ground or at the first failed step."""
-    state = (*p0.tolist(), *v0.tolist())
-    samples = array("d", state)
-    error = None
-    for _ in range(last):
-        try:
-            state = _rk4_step(*state, params, env, dt)
-        except (ArithmeticError, ValueError) as exc:
-            error = exc.with_traceback(None)
-            break
-        if not all(map(math.isfinite, state)):
-            error = ValueError(_NONFINITE_STATE)
-            break
-        samples.extend(state)
-        if state[2] < ground_height:
-            break
-    rows = np.frombuffer(samples).reshape(-1, 6)
-    return rows[:, :3].copy(), rows[:, 3:].copy(), error

@@ -88,7 +88,8 @@ def _trapezoid_time(d, limits: UavLimits) -> np.ndarray:
     else t = sqrt(2 d / a).
     """
     v, a = limits.max_speed, limits.max_accel
-    with np.errstate(invalid="ignore"):
+    # an overflowed d / v is +inf: unreachable, which is the right answer
+    with np.errstate(invalid="ignore", over="ignore"):
         return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
 
 

@@ -60,6 +60,19 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "scenario D" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sid, ball",
+        [("A", {"motion": "ballistic", "velocity": [4e4, 0, 0]}), ("planar2d", {"velocity": [1e306] * 3})],
+        ids=["A", "planar2d"],
+    )
+    def test_unintegrable_true_path_exits_2(self, sid, ball, tmp_path, capsys):
+        raw = bundled_raw(sid)
+        raw["ball"].update(ball)
+        cfg = write_cfg(tmp_path, f"{sid}.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "error: ball: the true path cannot be integrated" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
     def test_removed_drag_mode_exits_2(self, sid, tmp_path, capsys):
         raw = bundled_raw(sid)
@@ -80,6 +93,13 @@ class TestRun:
 
     def test_method_override_bypasses_mapping(self, tmp_path):
         cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", "shortest"]) == 0
+
+    @pytest.mark.parametrize("method", ["cat_mouse", "fastest"])
+    def test_planar2d_method_override_exits_2(self, method, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "planar2d.json", bundled_raw("planar2d"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", method]) == 2
+        assert "planner.method" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", "shortest"]) == 0
 
     def test_no_tilt_coupling_flag(self, tmp_path):

@@ -45,15 +45,14 @@ def truth_args(cfg):
 def assert_matches_stepping(truth, p0, v0, params, env, dt, ground_height, last):
     """Every sample equals repeated step_ground_truth, and the path stops where it should."""
     states = [BallState(np.array(p0, dtype=float), np.array(v0, dtype=float), 0.0)]
-    for _ in range(len(truth) - 1):
+    for _ in range(len(truth.times) - 1):
         states.append(step_ground_truth(states[-1], params, env, dt))
     assert same_bits(truth.positions, [s.position for s in states])
     assert same_bits(truth.velocities, [s.velocity for s in states])
     assert same_bits(truth.times, [s.time for s in states])
-    assert truth.error is None
     z = truth.positions[1:, 2]
     assert not (z[:-1] < ground_height).any()
-    assert z[-1] < ground_height or len(truth) == last + 1
+    assert z[-1] < ground_height or len(truth.times) == last + 1
 
 
 @pytest.mark.parametrize("sid", ["D", "E", "planar2d"])
@@ -61,7 +60,7 @@ def test_bundled_throws_match_stepping(sid):
     cfg = bundled_config(sid)
     args = truth_args(cfg)
     truth = ground_truth(*args)
-    assert len(truth) > 100
+    assert len(truth.times) > 100
     last = args[7] + math.ceil(cfg.max_horizon / cfg.physics_dt) + 1
     assert_matches_stepping(
         truth, cfg.ball_position, cfg.ball_velocity, cfg.projectile, cfg.environment,
@@ -100,36 +99,36 @@ def test_linear_and_frozen_match_per_tick_formulas(motion):
     assert same_bits(truth.positions, positions)
     assert same_bits(truth.times, times)
     assert same_bits(truth.velocities, [v0] * 501)
-    assert truth.error is None
 
 
-def test_failed_step_is_stored_where_stepping_raises():
+def test_failed_step_raises_what_stepping_raises():
     # drag this strong puts k * dt past RK4's stability limit: the speed grows
     # each step until Re overflows in the fourth step
     params, env = ProjectileParams(), Environment()
     p0, v0 = (4.0, 0.0, 2.0), (4e4, 0.0, 0.0)
-    truth = ground_truth(BallMotion.BALLISTIC, p0, v0, params, env, 0.001, 0.0, 6000, 3.0)
-    assert len(truth) == 4
     s = BallState(np.array(p0), np.array(v0))
-    for _ in range(len(truth) - 1):
+    for _ in range(3):
         s = step_ground_truth(s, params, env, 0.001)
-    assert same_bits(truth.positions[-1], s.position)
     with pytest.raises(ValueError) as stepped:
         step_ground_truth(s, params, env, 0.001)
-    failure = truth.failure()
-    assert type(failure) is type(stepped.value) and str(failure) == str(stepped.value)
-    assert failure is not truth.failure()
+    with pytest.raises(ValueError) as integrated:
+        ground_truth(BallMotion.BALLISTIC, p0, v0, params, env, 0.001, 0.0, 6000, 3.0)
+    assert type(integrated.value) is type(stepped.value)
+    assert str(integrated.value) == str(stepped.value)
+    assert len(physics._truth_cache) == 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_linear_overflow_is_stored_as_ballstate_error():
-    truth = ground_truth(
-        BallMotion.LINEAR, (0.0, 0.0, 1.0), (1.5e308, 0.0, 0.0), ProjectileParams(), Environment(),
-        1.0, 0.0, 10, 3.0,
-    )
-    assert len(truth) == 2  # 1.5e308 is finite, 3e308 is not
-    with pytest.raises(ValueError, match="components must be finite"):
-        raise truth.failure()
+def test_linear_overflow_raises_the_ballstate_error():
+    # 1.5e308 is finite, 3e308 is not
+    p0, v0 = np.array([0.0, 0.0, 1.0]), np.array([1.5e308, 0.0, 0.0])
+    with pytest.raises(ValueError) as stepped:
+        BallState(p0 + 2.0 * v0, v0)
+    with pytest.raises(ValueError) as integrated:
+        ground_truth(BallMotion.LINEAR, p0, v0, ProjectileParams(), Environment(), 1.0, 0.0, 10, 3.0)
+    assert type(integrated.value) is type(stepped.value)
+    assert str(integrated.value) == str(stepped.value)
+    assert len(physics._truth_cache) == 0
 
 
 @pytest.mark.parametrize("sid", ["D", "B"])

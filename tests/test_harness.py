@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catchsim.harness import (
+    MAX_PREDICTED_STEPS,
     TRACE_HEADER,
     ConfigError,
     ScenarioId,
@@ -151,6 +152,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="scenario D: .*Re must be finite"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("sid", ["D", "E", "planar2d"])
+    def test_unbounded_prediction_rejected_at_load(self, sid):
+        # 3 s / 1e-300 s: the load-time and per-frame propagation would never end
+        raw = bundled_config(sid).to_dict()
+        raw["prediction"]["t_step"] = 1e-300
+        with pytest.raises(ConfigError, match="prediction.t_step"):
+            config_from_dict(raw)
+        raw["prediction"]["t_step"] = raw["prediction"]["max_horizon"] / MAX_PREDICTED_STEPS
+        config_from_dict(raw)
+
+    def test_overflowing_reference_area_rejected_at_load(self):
+        raw = bundled_config("A").to_dict()
+        del raw["projectile"]["reference_area"]  # so it is derived from the diameter
+        raw["projectile"]["diameter"] = 1e155  # D**2 overflows
+        with pytest.raises(ConfigError, match="reference_area_A must be finite"):
+            config_from_dict(raw)
+
+    def test_planar2d_method_cannot_be_overridden(self):
+        raw = bundled_config("planar2d").to_dict()
+        assert config_from_dict(raw, allow_method_override=True).method is PlanMethod.SHORTEST_PATH
+        for method in ("cat_mouse", "fastest_path"):
+            raw["planner"]["method"] = method
+            with pytest.raises(ConfigError, match="planner.method"):
+                config_from_dict(raw, allow_method_override=True)
+
     def test_bundled_configs_load(self):
         for sid in ("A", "B", "C", "D", "E", "planar2d"):
             cfg = bundled_config(sid)
@@ -168,17 +194,16 @@ class TestConfigValidation:
 
 class TestPredictionError:
     def test_point_on_trajectory(self):
-        traj = [(np.array([0.0, 0.0, 0.0]), 0.0), (np.array([1.0, 0.0, 0.0]), 0.1)]
+        traj = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert prediction_error(np.array([1.0, 0.0, 0.0]), traj) == 0.0
 
     def test_perpendicular_distance(self):
-        traj = [(np.array([0.0, 0.0, 0.0]), 0.0), (np.array([2.0, 0.0, 0.0]), 0.1)]
+        traj = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         assert prediction_error(np.array([1.0, 1.0, 0.0]), traj) == pytest.approx(1.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
         verts = rng.uniform(-2, 2, size=(40, 3))
-        traj = [(v, 0.01 * i) for i, v in enumerate(verts)]
         for _ in range(25):
             q = rng.uniform(-3, 3, size=3)
             # brute force: densely sample every segment
@@ -186,11 +211,11 @@ class TestPredictionError:
             for a, b in zip(verts[:-1], verts[1:]):
                 for lam in np.linspace(0.0, 1.0, 400):
                     best = min(best, float(np.linalg.norm(q - (a + lam * (b - a)))))
-            assert prediction_error(q, traj) == pytest.approx(best, abs=1e-4)
+            assert prediction_error(q, verts) == pytest.approx(best, abs=1e-4)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            prediction_error(np.zeros(3), [])
+            prediction_error(np.zeros(3), np.empty((0, 3)))
 
 
 class TestScenarioOutcomes:
@@ -243,6 +268,24 @@ class TestScenarioOutcomes:
                 stamp = rec.observation.timestamp
                 assert stamp == pytest.approx(round(stamp / period) * period, abs=1e-9)
                 assert rec.observation.edge_fraction < 1.0
+
+    def test_unintegrable_true_path_is_a_config_error(self):
+        # RK4 is unstable at this speed under drag: Re overflows in the fourth step
+        raw = bundled_config("A").to_dict()
+        raw["ball"]["motion"] = "ballistic"
+        raw["ball"]["velocity"] = [4e4, 0.0, 0.0]
+        cfg = config_from_dict(raw)
+        with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(.*Re must be finite"):
+            run_scenario(cfg)
+
+    def test_unpredictable_frame_is_a_config_error(self):
+        # a held ball is never integrated, but Re = v D / nu underflows in the frame's prediction
+        raw = bundled_config("D").to_dict()
+        raw["ball"]["motion"] = "frozen"
+        raw["environment"]["kinematic_viscosity"] = 1e40
+        cfg = config_from_dict(raw)
+        with pytest.raises(ConfigError, match=r"^prediction: the predicted path cannot be computed"):
+            run_scenario(cfg)
 
     def test_planar2d_crossing_error(self):
         result = run_scenario(bundled_config("planar2d"))

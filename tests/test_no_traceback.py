@@ -1,0 +1,66 @@
+"""No schema-valid config produces a traceback.
+
+Property over edits of the six bundled configs, up to the float range:
+loading and running either raises ConfigError, or returns a result that
+ends for one of the four termination reasons with every trace cell
+finite. The edited fields are the ball, projectile and environment and
+the two time settings; `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s
+keep every example at most ~16k ticks long.
+"""
+
+import json
+import math
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from catchsim.harness import ConfigError, config_from_dict, run_scenario, trace_csv
+
+SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
+REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
+
+# the bundled scale, or anywhere up to the float range
+anywhere = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
+positive = st.one_of(st.floats(1e-6, 10.0), st.floats(0.0, 1e308, exclude_min=True))
+FIELDS = {
+    ("ball", "motion"): st.sampled_from(["frozen", "linear", "ballistic"]),
+    ("ball", "position"): st.lists(anywhere, min_size=3, max_size=3),
+    ("ball", "velocity"): st.lists(anywhere, min_size=3, max_size=3),
+    ("projectile", "drag_mode"): st.sampled_from(["velocity_opposed", "none"]),
+    ("projectile", "mass"): positive,
+    ("projectile", "diameter"): positive,
+    ("environment", "air_density"): positive,
+    ("environment", "kinematic_viscosity"): positive,
+    ("physics_dt",): st.one_of(st.floats(5e-4, 5e-3), st.floats(5e-4, 1e308)),
+    ("max_sim_time",): st.floats(0.0, 8.0, exclude_min=True),
+}
+
+
+def bundled_raw(sid):
+    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
+
+
+@st.composite
+def edited_raw(draw):
+    raw = bundled_raw(draw(st.sampled_from(SCENARIOS)))
+    for path in draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=4, unique=True)):
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(FIELDS[path])
+    return raw
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # distances between points near the float range
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=edited_raw())
+def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
+    try:
+        result = run_scenario(config_from_dict(raw))
+    except ConfigError:
+        return
+    assert result.termination_reason in REASONS
+    for row in trace_csv(result).splitlines()[1:]:
+        assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell), row

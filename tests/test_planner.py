@@ -107,6 +107,14 @@ class TestReachableRegion:
         region = reachable_region(path_from(pts), 0.0, hover_init(2.0), limits)
         assert len(region) == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_travel_time_is_unreachable_without_warning(self):
+        # d / v overflows to +inf for a subnormal speed: unreachable, not an error
+        limits = UavLimits(max_speed=5e-324)
+        pts = [[0.0, 0.0, 2.0], [2.0, 0.0, 2.0], [2.5, 0.0, 2.0]]
+        region = reachable_region(path_from(pts, t0=1.0), 0.0, hover_init(2.0), limits)
+        assert list(region.indices) == [0]
+
 
 class TestPlanCatMouse:
     def test_target_is_observation(self):
