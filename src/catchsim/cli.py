@@ -112,7 +112,7 @@ def cmd_suite(args) -> int:
     report["all_ok"] = all_ok
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "suite_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (out_dir / "suite_report.json").write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     except OSError as exc:
         print(f"error: cannot write suite report: {exc}", file=sys.stderr)
         return 3

@@ -35,6 +35,7 @@ from .physics import (
     ProjectileParams,
     ground_truth,
     step_ground_truth,  # noqa: F401  # the per-step integrator, kept bound here for perfbench/spans.py
+    truth_length,
 )
 from .planner import (
     PlanMethod,
@@ -57,13 +58,20 @@ from .predictor import (
     push_observation,
 )
 from .sensor import CameraModel, Observation, observe
-from .vehicle import UavState, hover_init, step_uav
+from .vehicle import (
+    fly,
+    hover_init,
+    step_uav,  # noqa: F401  # the per-tick step, kept bound here for perfbench/spans.py
+)
 
 # Terminate once the ball has been unseen this long after at least one
 # detection ("lost beyond recovery").
 BALL_LOST_TIMEOUT = 1.0  # s
 # Most steps one predicted path may take (max_horizon / t_step); every frame propagates one.
 MAX_PREDICTED_STEPS = 100_000
+# Most samples a run's ground truth may hold (max_sim_time / physics_dt, plus the
+# max_horizon tail of a thrown ball); each is an RK4 step at set-up and a tick.
+MAX_TRUTH_SAMPLES = 100_000
 
 TRACE_HEADER = (
     "time,ball_x,ball_y,ball_z,obs_x,obs_y,obs_z,pred_x,pred_y,pred_z,"
@@ -312,10 +320,38 @@ def _validate_semantics(cfg: ScenarioConfig):
         start = np.array([0.0, 0.0, cfg.start_elevation])
         if abs(float((start - cfg.plane_point) @ n)) > 1e-6:
             raise ConfigError("plane: the UAV start position (0, 0, start_elevation) must lie on the plane")
+    tail = cfg.max_horizon if cfg.ball_motion is BallMotion.BALLISTIC else 0.0
+    # the float ratio first: past the float range there is no tick count to round to
+    if (cfg.max_sim_time + tail) / cfg.physics_dt > MAX_TRUTH_SAMPLES or truth_length(
+        cfg.ball_motion, cfg.physics_dt, _n_ticks(cfg), cfg.max_horizon
+    ) > MAX_TRUTH_SAMPLES:
+        raise ConfigError(
+            f"physics_dt: the ground truth would hold more than {MAX_TRUTH_SAMPLES} samples "
+            "((max_sim_time + max_horizon for a thrown ball) / physics_dt)"
+        )
+    # distances are norms, so their squares must stay in the float range
+    with np.errstate(over="ignore"):
+        start_distance = float(np.linalg.norm(cfg.ball_position - hover_init(cfg.start_elevation).position))
+    if not math.isfinite(start_distance):
+        raise ConfigError("ball: its distance from the UAV start position is past the float range")
+    reach = cfg.limits.max_speed * (cfg.max_sim_time + cfg.physics_dt)
+    if not math.isfinite(reach * reach):
+        raise ConfigError(
+            "uav.limits.max_speed: the farthest the UAV can fly, max_speed * (max_sim_time + physics_dt), "
+            "has a square past the float range"
+        )
+    # the frame gate rounds time * frame_rate to a frame number
+    if not math.isfinite((cfg.max_sim_time + cfg.physics_dt) * cfg.camera.frame_rate):
+        raise ConfigError("camera.frame_rate: the frames in max_sim_time are past the float range")
     if cfg.method is not PlanMethod.CAT_MOUSE and cfg.max_horizon / cfg.t_step > MAX_PREDICTED_STEPS:
         raise ConfigError(f"prediction.t_step: max_horizon / t_step must be <= {MAX_PREDICTED_STEPS}")
     if cfg.scenario_id in (ScenarioId.D, ScenarioId.E) and cfg.ball_motion is BallMotion.BALLISTIC:
         _check_throw_geometry(cfg)
+
+
+def _n_ticks(cfg: ScenarioConfig) -> int:
+    """Physics ticks a run lasts at most."""
+    return int(round(cfg.max_sim_time / cfg.physics_dt))
 
 
 @contextmanager
@@ -469,13 +505,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     predictive = cfg.method in (PlanMethod.SHORTEST_PATH, PlanMethod.FASTEST_PATH)
     planar = cfg.scenario_id is ScenarioId.PLANAR2D
 
+    plane = (cfg.plane_point, cfg.plane_normal) if planar else None
     if planar:
-        p0, n_hat = cfg.plane_point, cfg.plane_normal
+        p0, n_hat = plane
 
         def to_plane(p: np.ndarray) -> np.ndarray:
             return p - float((p - p0) @ n_hat) * n_hat
 
-    n_ticks = int(round(cfg.max_sim_time / dt))
+    n_ticks = _n_ticks(cfg)
     ballistic = cfg.ball_motion is BallMotion.BALLISTIC
     with _as_config_error("ball: the true path cannot be integrated"):
         truth = ground_truth(
@@ -491,83 +528,87 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     records: list[MetricsRecord] = []
     i = 0  # index of the ball's current truth sample
     min_distance = float(np.linalg.norm(uav.position - positions[0]))
-    intercepted = False
-    t_intercept: float | None = None
     last_obs_time: float | None = None
     reason = "max_time"
 
-    frame_tol = 0.5 * dt
-    t_end = 0.0
+    # Control runs on the ticks within half a step of a camera frame; between
+    # two of them the vehicle flies one segment toward a fixed setpoint.
+    tick_times = np.arange(n_ticks) * dt
+    frame_ticks = np.flatnonzero(
+        np.abs(tick_times - np.round(tick_times * cam.frame_rate) / cam.frame_rate) <= 0.5 * dt
+    ).tolist()
+    last = len(positions) - 1  # a ballistic truth may end early, at its first sample below ground
+    uav_position = uav.position  # at truth sample i
 
-    for k in range(n_ticks):
+    for k, k_next in zip(frame_ticks, [*frame_ticks[1:], n_ticks]):
         t = k * dt
-        is_frame = abs(t - round(t * cam.frame_rate) / cam.frame_rate) <= frame_tol
-
-        if is_frame:
-            ball = BallState(positions[k], truth.velocities[k], float(truth.times[k]))
-            obs = observe(ball, params, uav, cam, t, rng_seed=(cfg.seed, k), physics_dt=dt)
-            predicted_point = None
-            chosen_idx = None
-            shortest_idx = None
-            if obs is not None:
-                last_obs_time = t
-                push_observation(queue, obs)
-                if planar:
-                    sp, predicted_point = _plan_planar(cfg, queue, obs, uav, stop, to_plane)
-                elif predictive:
-                    sp, predicted_point, chosen_idx, shortest_idx = _plan_predictive(
-                        cfg, queue, obs, uav, sp, stop, t
-                    )
-                else:
-                    sp = plan_cat_mouse(obs, uav, cfg.yaw_enabled, cfg.edge_threshold)
-            records.append(
-                MetricsRecord(
-                    time=t,
-                    ball_position=positions[k],
-                    uav_position=uav.position.copy(),
-                    setpoint=sp,
-                    intercepted=False,
-                    observation=obs,
-                    predicted_point=predicted_point,
-                    chosen_index=chosen_idx,
-                    shortest_index=shortest_idx,
+        ball = BallState(positions[k], truth.velocities[k], float(truth.times[k]))
+        obs = observe(ball, params, uav, cam, t, rng_seed=(cfg.seed, k), physics_dt=dt)
+        predicted_point = None
+        chosen_idx = None
+        shortest_idx = None
+        if obs is not None:
+            last_obs_time = t
+            push_observation(queue, obs)
+            if planar:
+                sp, predicted_point = _plan_planar(cfg, queue, obs, uav, stop, to_plane)
+            elif predictive:
+                sp, predicted_point, chosen_idx, shortest_idx = _plan_predictive(
+                    cfg, queue, obs, uav, sp, stop, t
                 )
+            else:
+                sp = plan_cat_mouse(obs, uav, cfg.yaw_enabled, cfg.edge_threshold)
+        records.append(
+            MetricsRecord(
+                time=t,
+                ball_position=positions[k],
+                uav_position=uav.position.copy(),
+                setpoint=sp,
+                intercepted=False,
+                observation=obs,
+                predicted_point=predicted_point,
+                chosen_index=chosen_idx,
+                shortest_index=shortest_idx,
             )
+        )
 
-        uav = step_uav(
-            uav, sp, limits, dt,
+        # ticks k+1 .. k_next: the UAV at each against the ball sample of the same index
+        k_next = min(k_next, last)
+        uav, path = fly(
+            uav, sp, limits, dt, k_next - k,
             tilt_coupling=cfg.tilt_coupling,
             kp=cfg.kp, kd=cfg.kd,
             gravity_g=env.gravity_g,
             height_comp_gain=cfg.height_comp_gain,
+            plane=plane,
         )
-        if planar:
-            pos = to_plane(uav.position)
-            vel = uav.velocity - float(uav.velocity @ n_hat) * n_hat
-            uav = UavState(pos, vel, uav.yaw, uav.pitch, uav.time)
-        i = k + 1
-        t_end = i * dt
-
-        d = float(np.linalg.norm(uav.position - positions[i]))
-        if d < min_distance:
-            min_distance = d
-        if d <= limits.intercept_radius:
-            intercepted = True
-            t_intercept = t_end
-            reason = "intercepted"
-            break
-        if ballistic and positions[i, 2] < cfg.ground_height:
-            reason = "ground_impact"
-            break
-        if last_obs_time is not None and t_end - last_obs_time > BALL_LOST_TIMEOUT:
-            reason = "ball_lost"
+        balls = positions[k + 1 : k_next + 1]
+        diff = path - balls
+        # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit
+        d = np.sqrt(np.vecdot(diff, diff))
+        hit = d <= limits.intercept_radius
+        grounded = ballistic & (balls[:, 2] < cfg.ground_height)
+        flagged = hit | grounded
+        if last_obs_time is not None:
+            flagged |= np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT
+        # the run ends at the first flagged tick; otherwise the segment is flown in full
+        j = int(np.argmax(flagged)) if flagged.any() else len(d) - 1
+        seg_min = float(d[: j + 1].min())
+        if seg_min < min_distance:
+            min_distance = seg_min
+        i = k + 1 + j
+        uav_position = path[j]
+        if flagged[j]:
+            reason = "intercepted" if hit[j] else "ground_impact" if grounded[j] else "ball_lost"
             break
 
+    t_end = i * dt
+    intercepted = reason == "intercepted"
     records.append(
         MetricsRecord(
             time=t_end,
             ball_position=positions[i],
-            uav_position=uav.position.copy(),
+            uav_position=uav_position.copy(),
             setpoint=sp,
             intercepted=intercepted,
         )
@@ -587,7 +628,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     return ScenarioResult(
         intercepted=intercepted,
-        interception_time=t_intercept,
+        interception_time=t_end if intercepted else None,
         min_distance=min_distance,
         records=records,
         termination_reason=reason,
@@ -732,7 +773,7 @@ def write_outputs(result: ScenarioResult, out_dir: str | Path, stem: str) -> tup
     trace_path = out_dir / f"{stem}_trace.csv"
     summary_path = out_dir / f"{stem}_summary.json"
     trace_path.write_text(trace_csv(result))
-    summary_path.write_text(json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n")
+    summary_path.write_text(json.dumps(summary_dict(result), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return trace_path, summary_path
 
 

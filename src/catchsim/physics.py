@@ -241,6 +241,15 @@ class GroundTruth:
     times: np.ndarray  # (n,) s
 
 
+def truth_length(motion: BallMotion, dt: float, n_ticks: int, tail_time: float) -> int:
+    """Most samples `ground_truth` returns for these inputs."""
+    if motion is BallMotion.BALLISTIC:
+        # one step of slack: a tail that starts before the last tick may need one
+        # more step to cover tail_time, as the accumulated times round differently
+        return n_ticks + math.ceil(tail_time / dt) + 2
+    return n_ticks + 1
+
+
 # Enough for the three bundled throws (D, E, planar2d) interleaved in one
 # sweep; a cached throw of ~1300 samples holds ~70 KB.
 TRUTH_CACHE_SIZE = 3
@@ -286,12 +295,9 @@ def ground_truth(
     p0 = np.array(position, dtype=float)
     v0 = np.array(velocity, dtype=float)
     if motion is BallMotion.BALLISTIC:
-        # one step of slack: a tail that starts before the last tick may need one
-        # more step to cover tail_time, as the accumulated times round differently
-        last = n_ticks + math.ceil(tail_time / dt) + 1
         state = (*p0.tolist(), *v0.tolist())
         samples = array("d", state)
-        for _ in range(last):
+        for _ in range(truth_length(motion, dt, n_ticks, tail_time) - 1):
             state = _rk4_step(*state, params, env, dt)
             if not all(map(math.isfinite, state)):
                 raise ValueError(_NONFINITE_STATE)

@@ -174,7 +174,8 @@ def observe(
     step does not divide the frame period. Bearings and edge_fraction are
     computed from the true centre (the same geometry that gates
     visibility); the reported position is the fringe-filtered centroid of
-    the sampled cloud.
+    the sampled cloud. A cloud whose centroid is not finite (noise past
+    the float range) is no detection.
     """
     frame_idx = round(sim_time * cam.frame_rate)
     if frame_idx < 0:
@@ -187,6 +188,8 @@ def observe(
 
     cloud = sample_point_cloud(ball, params, uav, cam, rng_seed)
     centroid = detect_centroid(cloud)
+    if not np.isfinite(centroid).all():
+        return None
     az, el, _ = _bearings(ball.position, uav, cam)
     edge = max(abs(az) / (0.5 * cam.horizontal_fov), abs(el) / (0.5 * cam.vertical_fov))
     return Observation(

@@ -73,6 +73,23 @@ class TestRun:
         assert "error: ball: the true path cannot be integrated" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"ball": {"position": [1e308, 1e308, 2.0], "velocity": [0, 0, 0], "motion": "frozen"}}, "ball"),
+            ({"physics_dt": 1e-5}, "physics_dt"),
+            ({"uav": {"limits": {"max_speed": 1e300}}}, "uav.limits.max_speed"),
+        ],
+        ids=["ball", "physics_dt", "max_speed"],
+    )
+    def test_values_past_the_float_or_sample_range_exit_2(self, edit, field, tmp_path, capsys):
+        raw = bundled_raw("A")
+        raw.update(edit)
+        cfg = write_cfg(tmp_path, "A.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
     def test_removed_drag_mode_exits_2(self, sid, tmp_path, capsys):
         raw = bundled_raw(sid)

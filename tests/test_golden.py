@@ -1,7 +1,13 @@
-"""Golden outputs: the six bundled scenarios' trace and summary bytes.
+"""Golden outputs: the trace and summary bytes of pinned runs.
 
 Each bundled config's `trace_csv` text and its summary, serialised as
-`write_outputs` writes it, are pinned by sha256. Any change to the
+`write_outputs` writes it, are pinned by sha256. So are two corpora, one
+sha256 each over the concatenated outputs: D and E over noise seeds
+1-50, and the six bundled configs under each of five edits that move
+the control loop's timing or the vehicle recursion (height
+compensation, tilt coupling off, a frame rate whose period is not a
+whole number of ticks, a physics step that does not divide the frame
+period, and a run shorter than two frames). Any change to the
 physics, sensor, predictor, planner, vehicle, engine or output format
 that moves a single printed bit fails here; a deliberate change must
 re-record the hashes and say why.
@@ -14,10 +20,11 @@ rather than loosening the comparison.
 
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
-from catchsim.harness import bundled_config, run_scenario, summary_dict, trace_csv
+from catchsim.harness import bundled_config, config_from_dict, run_scenario, summary_dict, trace_csv
 
 GOLDEN = {
     "A": (
@@ -47,8 +54,28 @@ GOLDEN = {
 }
 
 
+SEEDS_SHA256 = "f571b5ffaf841304bda8fcc17f9504f66406ea31765d52e35e545ea63686c88b"
+EDITED_SHA256 = "eadd48ef602c577203a02524074b91fb4ef7199178ecf521e82f51cb86bb7af6"
+EDITS = (
+    (("uav", "height_comp_gain"), 0.5),
+    (("planner", "tilt_coupling"), False),
+    (("camera", "frame_rate"), 29.97),
+    (("physics_dt",), 0.0007),
+    (("max_sim_time",), 0.05),
+)
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _bundled_raw(sid: str) -> dict:
+    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
+
+
+def _outputs(raw: dict) -> bytes:
+    result = run_scenario(config_from_dict(raw))
+    return (trace_csv(result) + json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("sid", list(GOLDEN))
@@ -56,3 +83,26 @@ def test_bundled_outputs_are_byte_identical(sid):
     result = run_scenario(bundled_config(sid))
     summary = json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n"
     assert (_sha256(trace_csv(result)), _sha256(summary)) == GOLDEN[sid]
+
+
+def test_thrown_seed_sweep_is_byte_identical():
+    h = hashlib.sha256()
+    for sid in ("D", "E"):
+        raw = _bundled_raw(sid)
+        for seed in range(1, 51):
+            raw["seed"] = seed
+            h.update(_outputs(raw))
+    assert h.hexdigest() == SEEDS_SHA256
+
+
+def test_edited_configs_are_byte_identical():
+    h = hashlib.sha256()
+    for path, value in EDITS:
+        for sid in GOLDEN:
+            raw = _bundled_raw(sid)
+            node = raw
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+            h.update(_outputs(raw))
+    assert h.hexdigest() == EDITED_SHA256

@@ -101,6 +101,15 @@ def test_linear_and_frozen_match_per_tick_formulas(motion):
     assert same_bits(truth.velocities, [v0] * 501)
 
 
+@pytest.mark.parametrize("motion", list(BallMotion))
+def test_a_path_that_never_lands_has_truth_length_samples(motion):
+    # no gravity, level flight: nothing ends a ballistic path before its full length
+    env, params = Environment(gravity_g=0.0), ProjectileParams(drag_mode=DragMode.NONE)
+    truth = ground_truth(motion, (0.0, 0.0, 2.0), (1.0, 0.0, 0.0), params, env, 0.001, 0.0, 50, 0.0123)
+    assert len(truth.positions) == physics.truth_length(motion, 0.001, 50, 0.0123)
+    assert len(truth.positions) == (65 if motion is BallMotion.BALLISTIC else 51)
+
+
 def test_failed_step_raises_what_stepping_raises():
     # drag this strong puts k * dt past RK4's stability limit: the speed grows
     # each step until Re overflows in the fourth step

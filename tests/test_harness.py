@@ -1,12 +1,15 @@
 """Scenario-engine verification: config validation, metrics, traces, outcomes."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from catchsim.harness import (
     MAX_PREDICTED_STEPS,
+    MAX_TRUTH_SAMPLES,
     TRACE_HEADER,
     ConfigError,
     ScenarioId,
@@ -168,6 +171,48 @@ class TestConfigValidation:
         raw["projectile"]["diameter"] = 1e155  # D**2 overflows
         with pytest.raises(ConfigError, match="reference_area_A must be finite"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("sid", ["A", "D"])
+    def test_ground_truth_longer_than_the_bound_rejected_at_load(self, sid):
+        raw = bundled_config(sid).to_dict()
+        raw["physics_dt"] = 1e-5
+        with pytest.raises(ConfigError, match="physics_dt"):
+            config_from_dict(raw)
+        raw["physics_dt"], raw["max_sim_time"] = 1e-300, 1e300  # a tick count past the int range
+        with pytest.raises(ConfigError, match="physics_dt"):
+            config_from_dict(raw)
+
+    def test_ground_truth_of_exactly_the_bound_loads(self):
+        raw = bundled_config("A").to_dict()  # a frozen ball: max_sim_time / physics_dt + 1 samples
+        raw["physics_dt"] = 1e-3
+        raw["max_sim_time"] = (MAX_TRUTH_SAMPLES - 1) * 1e-3
+        config_from_dict(raw)
+        raw["max_sim_time"] = MAX_TRUTH_SAMPLES * 1e-3
+        with pytest.raises(ConfigError, match="physics_dt"):
+            config_from_dict(raw)
+
+    def test_ball_start_distance_past_the_float_range_rejected_at_load(self):
+        raw = bundled_config("A").to_dict()
+        raw["ball"]["position"] = [1e308, 1e308, 2.0]
+        with pytest.raises(ConfigError, match="ball: its distance from the UAV start"):
+            config_from_dict(raw)
+
+    def test_uav_reach_past_the_float_range_rejected_at_load(self):
+        raw = bundled_config("A").to_dict()
+        raw["uav"]["limits"]["max_speed"] = 1e300
+        with pytest.raises(ConfigError, match="uav.limits.max_speed"):
+            config_from_dict(raw)
+        raw["uav"]["limits"]["max_speed"] = 1e150
+        config_from_dict(raw)
+
+    def test_frame_count_past_the_float_range_rejected_at_load(self):
+        raw = bundled_config("A").to_dict()
+        raw["camera"]["frame_rate"] = 1e308
+        with pytest.raises(ConfigError, match="camera.frame_rate"):
+            config_from_dict(raw)
+        raw["camera"]["frame_rate"] = 1e300  # a frame every tick
+        result = run_scenario(config_from_dict(raw))
+        assert len(result.records) == round(result.records[-1].time / raw["physics_dt"]) + 1
 
     def test_planar2d_method_cannot_be_overridden(self):
         raw = bundled_config("planar2d").to_dict()
@@ -339,6 +384,11 @@ class TestTraceOutput:
         data = json.loads(summary.read_text())
         assert set(data) == {"intercepted", "interception_time", "min_distance", "termination_reason"}
         assert data["intercepted"] is True
+
+    def test_write_outputs_refuses_a_non_finite_summary(self, tmp_path):
+        result = dataclasses.replace(run_scenario(bundled_config("A")), min_distance=math.inf)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_outputs(result, tmp_path, "A")
 
     def test_summary_mirrors_result(self):
         result = run_scenario(bundled_config("B"))

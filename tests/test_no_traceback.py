@@ -3,9 +3,12 @@
 Property over edits of the six bundled configs, up to the float range:
 loading and running either raises ConfigError, or returns a result that
 ends for one of the four termination reasons with every trace cell
-finite. The edited fields are the ball, projectile and environment and
-the two time settings; `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s
-keep every example at most ~16k ticks long.
+finite and a summary that serialises as strict JSON (no NaN or
+Infinity). The edited fields are the ball, projectile and environment,
+the two time settings, the vehicle's limits, gains, height compensation
+and start, the camera's frame rate and noise, and tilt coupling;
+`physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
+most ~16k ticks long.
 """
 
 import json
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from catchsim.harness import ConfigError, config_from_dict, run_scenario, trace_csv
+from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
@@ -24,6 +27,7 @@ REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
 # the bundled scale, or anywhere up to the float range
 anywhere = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
 positive = st.one_of(st.floats(1e-6, 10.0), st.floats(0.0, 1e308, exclude_min=True))
+non_negative = st.one_of(st.just(0.0), positive)
 FIELDS = {
     ("ball", "motion"): st.sampled_from(["frozen", "linear", "ballistic"]),
     ("ball", "position"): st.lists(anywhere, min_size=3, max_size=3),
@@ -35,6 +39,17 @@ FIELDS = {
     ("environment", "kinematic_viscosity"): positive,
     ("physics_dt",): st.one_of(st.floats(5e-4, 5e-3), st.floats(5e-4, 1e308)),
     ("max_sim_time",): st.floats(0.0, 8.0, exclude_min=True),
+    ("uav", "limits", "max_speed"): positive,
+    ("uav", "limits", "max_accel"): positive,
+    ("uav", "limits", "max_yaw_rate"): positive,
+    ("uav", "limits", "intercept_radius"): positive,
+    ("uav", "gains", "kp"): positive,
+    ("uav", "gains", "kd"): non_negative,
+    ("uav", "height_comp_gain"): non_negative,
+    ("uav", "start_elevation"): positive,
+    ("camera", "frame_rate"): positive,
+    ("camera", "noise_sigma"): non_negative,
+    ("planner", "tilt_coupling"): st.booleans(),
 }
 
 
@@ -62,5 +77,6 @@ def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     except ConfigError:
         return
     assert result.termination_reason in REASONS
+    json.dumps(summary_dict(result), allow_nan=False)
     for row in trace_csv(result).splitlines()[1:]:
         assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell), row

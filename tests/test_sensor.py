@@ -154,6 +154,11 @@ class TestObserve:
     def test_invisible_gives_none(self):
         assert observe(ball_at((-3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0, 1) is None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_noise_past_the_float_range_gives_none(self):
+        cam = CameraModel(noise_sigma=1e308)
+        assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, 1) is None
+
     def test_off_frame_tick_gives_none(self):
         out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0155, 1)
         assert out is None
