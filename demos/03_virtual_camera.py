@@ -1,5 +1,6 @@
 """The synthetic depth camera: visibility cone, hemisphere point clouds,
-fringe filtering, and the tilt coupling that loses sight of the ball.
+fringe filtering, the tilt coupling that loses sight of the ball, and the
+frame schedule that picks the physics ticks carrying a camera frame.
 
 Run:
     python demos/03_virtual_camera.py
@@ -10,12 +11,11 @@ import math
 import numpy as np
 
 from catchsim import (
-    BallState,
     CameraModel,
     ProjectileParams,
     detect_centroid,
+    frame_schedule,
     hover_init,
-    observe,
     sample_point_cloud,
     visible,
 )
@@ -46,10 +46,10 @@ for pitch in (0.0, 0.2, 0.4):
     print(f"  pitch {pitch:.1f} rad -> visible: {visible(np.array([4.0, 0.0, 2.0]), tilted, cam)}")
 
 # Detection: sample the camera-facing hemisphere, filter fringes, centroid.
-ball = BallState(position=[3.0, 0.0, 2.0], velocity=[0, 0, 0])
+ball = np.array([3.0, 0.0, 2.0])
 cloud = sample_point_cloud(ball, params, uav, CameraModel(noise_sigma=0.005, points_per_detection=500), rng_seed=7)
 centroid = detect_centroid(cloud)
-bias = np.linalg.norm(centroid - ball.position)
+bias = np.linalg.norm(centroid - ball)
 print(f"\n500-point noisy cloud: centroid offset from the true centre = {bias * 1e3:.1f} mm")
 print(f"(hemisphere sampling biases the centroid toward the camera, bounded by D/2 = {params.diameter_D / 2 * 1e3:.0f} mm)")
 
@@ -59,8 +59,9 @@ clean = detect_centroid(corrupted)
 print(f"With a wild outlier appended, the filtered centroid moves only "
       f"{np.linalg.norm(clean - centroid) * 1e3:.2f} mm")
 
-# Frame gating: observations only appear on frame boundaries.
-hits = [t for t in np.arange(0.0, 0.2001, 0.001)
-        if observe(ball, params, uav, cam, round(float(t), 3), rng_seed=1) is not None]
-print(f"\nObservations in the first 0.2 s at {cam.frame_rate:.0f} Hz: {len(hits)} "
-      f"(at t = {', '.join(f'{t:.3f}' for t in hits)})")
+# Frame gating: the camera picks, once per run, the 1 ms physics ticks that
+# carry a frame (the first tick within half a step of each frame period).
+for rate in (cam.frame_rate, 400.0):
+    ticks, stamps = frame_schedule(rate, 0.001, 201)
+    print(f"\nFrames in the first 0.2 s at {rate:.0f} Hz: {len(ticks)}, on ticks {ticks[:8]}... "
+          f"stamped {', '.join(f'{s * 1e3:.1f}' for s in stamps[:8])}... ms")

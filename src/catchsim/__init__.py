@@ -19,7 +19,7 @@ from .physics import (
     reynolds_number,
     step_ground_truth,
 )
-from .sensor import CameraModel, Observation, detect_centroid, observe, sample_point_cloud, visible
+from .sensor import CameraModel, Observation, detect_centroid, frame_schedule, observe, sample_point_cloud, visible
 from .predictor import (
     ObservationQueue,
     PredictedPath,

@@ -57,10 +57,11 @@ from .predictor import (
     predict_path,
     push_observation,
 )
-from .sensor import CameraModel, Observation, observe
+from .sensor import CameraModel, Observation, frame_schedule, observe
 from .vehicle import (
     fly,
     hover_init,
+    project_to_plane,
     step_uav,  # noqa: F401  # the per-tick step, kept bound here for perfbench/spans.py
 )
 
@@ -400,13 +401,11 @@ def _check_throw_geometry(cfg: ScenarioConfig):
 
 
 def load_raw_config(path: Path) -> dict:
-    """Read a config file's JSON, not yet validated; a missing file or bad JSON is a ConfigError."""
+    """Read a config file's JSON, not yet validated; a file that cannot be read or decoded is a ConfigError."""
     try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8, bad JSON, an over-long integer
+        raise ConfigError(f"config file {path}: not found, unreadable or not valid JSON ({exc})") from exc
 
 
 def load_config(path: str | Path, allow_method_override: bool = False) -> ScenarioConfig:
@@ -506,12 +505,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     planar = cfg.scenario_id is ScenarioId.PLANAR2D
 
     plane = (cfg.plane_point, cfg.plane_normal) if planar else None
-    if planar:
-        p0, n_hat = plane
-
-        def to_plane(p: np.ndarray) -> np.ndarray:
-            return p - float((p - p0) @ n_hat) * n_hat
-
     n_ticks = _n_ticks(cfg)
     ballistic = cfg.ball_motion is BallMotion.BALLISTIC
     with _as_config_error("ball: the true path cannot be integrated"):
@@ -531,19 +524,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     last_obs_time: float | None = None
     reason = "max_time"
 
-    # Control runs on the ticks within half a step of a camera frame; between
-    # two of them the vehicle flies one segment toward a fixed setpoint.
-    tick_times = np.arange(n_ticks) * dt
-    frame_ticks = np.flatnonzero(
-        np.abs(tick_times - np.round(tick_times * cam.frame_rate) / cam.frame_rate) <= 0.5 * dt
-    ).tolist()
+    # Control runs on the camera's frame ticks; between two of them the
+    # vehicle flies one segment toward a fixed setpoint.
+    frame_ticks, stamps = frame_schedule(cam.frame_rate, dt, n_ticks)
     last = len(positions) - 1  # a ballistic truth may end early, at its first sample below ground
     uav_position = uav.position  # at truth sample i
 
-    for k, k_next in zip(frame_ticks, [*frame_ticks[1:], n_ticks]):
+    for k, stamp, k_next in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks]):
         t = k * dt
-        ball = BallState(positions[k], truth.velocities[k], float(truth.times[k]))
-        obs = observe(ball, params, uav, cam, t, rng_seed=(cfg.seed, k), physics_dt=dt)
+        obs = observe(positions[k], params, uav, cam, stamp, rng_seed=(cfg.seed, k))
         predicted_point = None
         chosen_idx = None
         shortest_idx = None
@@ -551,7 +540,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             last_obs_time = t
             push_observation(queue, obs)
             if planar:
-                sp, predicted_point = _plan_planar(cfg, queue, obs, uav, stop, to_plane)
+                sp, predicted_point = _plan_planar(cfg, queue, obs, uav, stop)
             elif predictive:
                 sp, predicted_point, chosen_idx, shortest_idx = _plan_predictive(
                     cfg, queue, obs, uav, sp, stop, t
@@ -683,21 +672,18 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     return sp, predicted_point, chosen_idx, shortest_idx
 
 
-def _plan_planar(cfg, queue, obs, uav, stop, to_plane):
+def _plan_planar(cfg, queue, obs, uav, stop):
     """Plane-crossing setpoint for the 2D experiment (falls back to projected chase)."""
     predicted_point = None
-    target = None
+    target = obs.position
     if len(queue) >= 2:
         with _as_config_error("prediction: the predicted path cannot be computed"):
             path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
         crossing = plane_crossing(path, cfg.plane_point, cfg.plane_normal)
         if crossing is not None:
-            predicted_point = crossing[0]
-            target = to_plane(crossing[0])
-    if target is None:
-        target = to_plane(np.asarray(obs.position, dtype=float))
+            predicted_point = target = crossing[0]
     sp = Setpoint(
-        target_position=target,
+        target_position=project_to_plane(target, cfg.plane_point, cfg.plane_normal),
         target_yaw=yaw_command(obs, uav, cfg.edge_threshold),
         source_method=PlanMethod.SHORTEST_PATH,
         path_index=None,

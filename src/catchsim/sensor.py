@@ -4,9 +4,10 @@ Replaces the real colour-thresholding pipeline with a geometric model:
 the ball is visible when its centre lies strictly inside both FOV
 half-angles and within range; a detection is a synthetic point cloud
 sampled on the camera-facing hemisphere of the ball surface (optionally
-noisy), run through fringe filtering and a centroid. Frames are emitted
-at the camera rate only, so downstream consumers naturally run at
-camera frequency rather than the physics rate.
+noisy), run through fringe filtering and a centroid. The camera owns
+the frame clock: `frame_schedule` picks, once per run, the physics ticks
+that carry a frame, so downstream consumers run at the camera rate
+rather than the physics rate.
 
 Angle conventions (z-up world): yaw is CCW about +z, azimuth is positive
 to the camera's left, elevation positive up, and pitch is a down-tilt of
@@ -21,10 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .physics import BallState, ProjectileParams
+from .physics import ProjectileParams
 
 if TYPE_CHECKING:
     from .vehicle import UavState
+
+
+MAX_POINTS_PER_DETECTION = 100_000  # a detection holds a few (n, 3) float arrays: ~10 MB at the bound
 
 
 class NoDetectionError(ValueError):
@@ -50,8 +54,11 @@ class CameraModel:
             raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
         if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.points_per_detection < 1:
-            raise ValueError(f"points_per_detection must be >= 1, got {self.points_per_detection}")
+        if not 1 <= self.points_per_detection <= MAX_POINTS_PER_DETECTION:
+            raise ValueError(
+                f"camera.points_per_detection: must lie in [1, {MAX_POINTS_PER_DETECTION}], "
+                f"got {self.points_per_detection}"
+            )
 
 
 @dataclass
@@ -92,18 +99,34 @@ def _bearings(ball_position: np.ndarray, uav: "UavState", cam: CameraModel):
     return az, el, rng
 
 
+def _in_view(az: float, el: float, rng: float, cam: CameraModel) -> bool:
+    """Do bearings (az, el) at range rng lie strictly inside both FOV half-angles and in range?"""
+    return rng <= cam.max_range and abs(az) < 0.5 * cam.horizontal_fov and abs(el) < 0.5 * cam.vertical_fov
+
+
 def visible(ball_position: np.ndarray, uav: "UavState", cam: CameraModel) -> bool:
     """True iff the ball centre lies strictly inside both FOV half-angles and in range."""
-    az, el, rng = _bearings(ball_position, uav, cam)
-    return (
-        rng <= cam.max_range
-        and abs(az) < 0.5 * cam.horizontal_fov
-        and abs(el) < 0.5 * cam.vertical_fov
-    )
+    return _in_view(*_bearings(ball_position, uav, cam), cam)
+
+
+def frame_schedule(frame_rate: float, dt: float, n_ticks: int) -> tuple[list[int], list[float]]:
+    """The physics ticks that carry a camera frame, and each frame's timestamp.
+
+    Tick k is on a frame when k * dt lies within half a step of a multiple
+    of the frame period, and that exact multiple is the frame's stamp. Two
+    ticks can tie for one frame (a period that is an odd multiple of half a
+    step); the first carries it, so stamps strictly increase.
+    """
+    times = np.arange(n_ticks) * dt
+    frames = np.round(times * frame_rate)
+    stamps = frames / frame_rate
+    ticks = np.flatnonzero(np.abs(times - stamps) <= 0.5 * dt)
+    ticks = ticks[np.diff(frames[ticks], prepend=-1.0) != 0.0]
+    return ticks.tolist(), stamps[ticks].tolist()
 
 
 def sample_point_cloud(
-    ball: BallState,
+    ball_position: np.ndarray,
     params: ProjectileParams,
     uav: "UavState",
     cam: CameraModel,
@@ -113,15 +136,12 @@ def sample_point_cloud(
 
     Points are uniform over the hemisphere whose outward normal faces the
     camera, each perturbed by isotropic Gaussian noise of `noise_sigma`.
-    Deterministic for a fixed seed; returns an empty (0, 3) array when the
-    ball is not visible.
+    Deterministic for a fixed seed; the caller gates on visibility.
     """
-    if not visible(ball.position, uav, cam):
-        return np.empty((0, 3))
     rng = np.random.default_rng(rng_seed)
     n = cam.points_per_detection
 
-    to_cam = np.asarray(uav.position, dtype=float) - ball.position
+    to_cam = np.asarray(uav.position, dtype=float) - ball_position
     norm = np.linalg.norm(to_cam)
     if norm == 0.0:
         to_cam = np.array([1.0, 0.0, 0.0])
@@ -133,7 +153,7 @@ def sample_point_cloud(
     facing = dirs @ to_cam
     dirs[facing < 0.0] *= -1.0  # mirror onto the camera-facing hemisphere
 
-    points = ball.position + 0.5 * params.diameter_D * dirs
+    points = ball_position + 0.5 * params.diameter_D * dirs
     if cam.noise_sigma > 0.0:
         points = points + rng.normal(scale=cam.noise_sigma, size=(n, 3))
     return points
@@ -158,43 +178,32 @@ def detect_centroid(points: np.ndarray) -> np.ndarray:
 
 
 def observe(
-    ball: BallState,
+    ball_position: np.ndarray,
     params: ProjectileParams,
     uav: "UavState",
     cam: CameraModel,
-    sim_time: float,
+    timestamp: float,
     rng_seed,
-    physics_dt: float = 0.001,
 ) -> Observation | None:
-    """Emit an Observation on camera frame boundaries while the ball is visible.
+    """One camera frame's detection of the ball, or None when it is not visible.
 
-    A frame fires when `sim_time` is within half a physics step of a
-    multiple of the frame period; the observation's timestamp is that
-    exact multiple, so timestamps stay quantized even when the physics
-    step does not divide the frame period. Bearings and edge_fraction are
-    computed from the true centre (the same geometry that gates
-    visibility); the reported position is the fringe-filtered centroid of
-    the sampled cloud. A cloud whose centroid is not finite (noise past
-    the float range) is no detection.
+    Called once per frame of `frame_schedule`, with that frame's stamp.
+    One evaluation of the camera geometry at the true centre gates
+    visibility and gives the bearings and edge_fraction; the reported
+    position is the fringe-filtered centroid of the sampled cloud. A cloud
+    whose centroid is not finite (noise past the float range) is no
+    detection.
     """
-    frame_idx = round(sim_time * cam.frame_rate)
-    if frame_idx < 0:
+    az, el, rng = _bearings(ball_position, uav, cam)
+    if not _in_view(az, el, rng, cam):
         return None
-    t_frame = frame_idx / cam.frame_rate
-    if abs(sim_time - t_frame) > 0.5 * physics_dt:
-        return None
-    if not visible(ball.position, uav, cam):
-        return None
-
-    cloud = sample_point_cloud(ball, params, uav, cam, rng_seed)
-    centroid = detect_centroid(cloud)
+    centroid = detect_centroid(sample_point_cloud(ball_position, params, uav, cam, rng_seed))
     if not np.isfinite(centroid).all():
         return None
-    az, el, _ = _bearings(ball.position, uav, cam)
     edge = max(abs(az) / (0.5 * cam.horizontal_fov), abs(el) / (0.5 * cam.vertical_fov))
     return Observation(
         position=centroid,
-        timestamp=t_frame,
+        timestamp=timestamp,
         bearing_azimuth=az,
         bearing_elevation=el,
         edge_fraction=edge,

@@ -59,6 +59,11 @@ def hover_init(elevation: float) -> UavState:
     )
 
 
+def project_to_plane(p: np.ndarray, p0: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
+    """p projected onto the plane through p0 with unit normal n_hat."""
+    return p - float((p - p0) @ n_hat) * n_hat
+
+
 def _clamp_exact(build, limit: float) -> tuple[float, float, float]:
     """The vector build(Fraction) returns, computed exactly and norm-clamped to
     limit, as floats: for a command or velocity whose float norm overflows."""
@@ -183,7 +188,7 @@ def fly(
             p0, n_hat = plane
             p = np.array((px, py, pz))
             v = np.array((vx, vy, vz))
-            px, py, pz = (p - float((p - p0) @ n_hat) * n_hat).tolist()
+            px, py, pz = project_to_plane(p, p0, n_hat).tolist()
             vx, vy, vz = (v - float(v @ n_hat) * n_hat).tolist()
         positions.extend((px, py, pz))
 

@@ -38,6 +38,13 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["long_integer", "not_utf8", "directory"])
+    def test_config_that_cannot_be_read_or_decoded_exits_2(self, kind, tmp_path, capsys, unreadable_config):
+        cfg = unreadable_config(tmp_path, kind)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert f"error: config file {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_malformed_config_names_field(self, tmp_path, capsys):
         raw = bundled_raw("A")
         raw["planner"] = {"hysteresys_dist": 0.2}
@@ -79,8 +86,9 @@ class TestRun:
             ({"ball": {"position": [1e308, 1e308, 2.0], "velocity": [0, 0, 0], "motion": "frozen"}}, "ball"),
             ({"physics_dt": 1e-5}, "physics_dt"),
             ({"uav": {"limits": {"max_speed": 1e300}}}, "uav.limits.max_speed"),
+            ({"camera": {"points_per_detection": 10**9}}, "camera.points_per_detection"),
         ],
-        ids=["ball", "physics_dt", "max_speed"],
+        ids=["ball", "physics_dt", "max_speed", "points_per_detection"],
     )
     def test_values_past_the_float_or_sample_range_exit_2(self, edit, field, tmp_path, capsys):
         raw = bundled_raw("A")
@@ -150,6 +158,20 @@ class TestSuite:
         a = (tmp_path / "r1" / "suite_report.json").read_bytes()
         b = (tmp_path / "r2" / "suite_report.json").read_bytes()
         assert a == b
+
+    def test_configs_that_cannot_be_read_or_decoded_fail_their_scenarios(self, tmp_path, unreadable_config):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        for sid in ("A", "B", "C", "D", "E", "planar2d"):
+            write_cfg(cfg_dir, f"{sid}.json", bundled_raw(sid))
+        for sid, kind in (("A", "long_integer"), ("B", "not_utf8"), ("C", "directory")):
+            (cfg_dir / f"{sid}.json").unlink()
+            unreadable_config(cfg_dir, kind).rename(cfg_dir / f"{sid}.json")
+        assert main(["suite", "--config", str(cfg_dir), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
+        for sid in ("A", "B", "C"):
+            assert report[sid]["error"].startswith(f"config file {cfg_dir / sid}.json")
+        assert all(report[sid]["expected_ok"] for sid in ("D", "E", "planar2d"))
 
     def test_crippled_vehicle_fails_suite(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

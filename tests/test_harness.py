@@ -25,6 +25,7 @@ from catchsim.harness import (
     write_outputs,
 )
 from catchsim.planner import PlanMethod
+from catchsim.sensor import MAX_POINTS_PER_DETECTION
 
 
 def minimal_a(**extra):
@@ -231,6 +232,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("kind", ["long_integer", "not_utf8", "directory"])
+    def test_config_file_that_cannot_be_read_or_decoded(self, kind, tmp_path, unreadable_config):
+        path = unreadable_config(tmp_path, kind)
+        with pytest.raises(ConfigError, match=f"config file {path}"):
+            load_config(path)
+
+    def test_points_per_detection_above_the_bound_rejected_at_load(self):
+        raw = bundled_config("A").to_dict()
+        raw["camera"]["points_per_detection"] = MAX_POINTS_PER_DETECTION + 1
+        with pytest.raises(ConfigError, match="camera.points_per_detection"):
+            config_from_dict(raw)
+        raw["camera"]["points_per_detection"] = MAX_POINTS_PER_DETECTION
+        assert config_from_dict(raw).camera.points_per_detection == MAX_POINTS_PER_DETECTION
+
     def test_round_trip_identical_run(self):
         cfg = bundled_config("D")
         clone = config_from_dict(cfg.to_dict())
@@ -313,6 +328,16 @@ class TestScenarioOutcomes:
                 stamp = rec.observation.timestamp
                 assert stamp == pytest.approx(round(stamp / period) * period, abs=1e-9)
                 assert rec.observation.edge_fraction < 1.0
+
+    @pytest.mark.parametrize("sid", ["C", "D"])
+    def test_frame_period_an_odd_multiple_of_half_a_step(self, sid):
+        # at 400 Hz and a 1 ms step two ticks tie for every other frame; one carries it
+        raw = bundled_config(sid).to_dict()
+        raw["camera"]["frame_rate"] = 400.0
+        result = run_scenario(config_from_dict(raw))
+        assert result.termination_reason in ("intercepted", "ground_impact", "ball_lost", "max_time")
+        stamps = [rec.observation.timestamp for rec in result.records if rec.observation is not None]
+        assert len(stamps) > 2 and all(b > a for a, b in zip(stamps, stamps[1:]))
 
     def test_unintegrable_true_path_is_a_config_error(self):
         # RK4 is unstable at this speed under drag: Re overflows in the fourth step

@@ -8,7 +8,9 @@ Infinity). The edited fields are the ball, projectile and environment,
 the two time settings, the vehicle's limits, gains, height compensation
 and start, the camera's frame rate and noise, and tilt coupling;
 `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
-most ~16k ticks long.
+most ~16k ticks long. A frame period that is an odd multiple of half a
+step (400 Hz at the bundled 1 ms step, where two ticks tie for one frame)
+is drawn on purpose: random floats almost never hit an exact tie.
 """
 
 import json
@@ -16,7 +18,7 @@ import math
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
@@ -47,7 +49,7 @@ FIELDS = {
     ("uav", "gains", "kd"): non_negative,
     ("uav", "height_comp_gain"): non_negative,
     ("uav", "start_elevation"): positive,
-    ("camera", "frame_rate"): positive,
+    ("camera", "frame_rate"): st.one_of(st.sampled_from([400.0, 2000.0 / 3.0]), positive),
     ("camera", "noise_sigma"): non_negative,
     ("planner", "tilt_coupling"): st.booleans(),
 }
@@ -55,6 +57,12 @@ FIELDS = {
 
 def bundled_raw(sid):
     return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
+
+
+def at_400_hz(sid):
+    raw = bundled_raw(sid)
+    raw.setdefault("camera", {})["frame_rate"] = 400.0
+    return raw
 
 
 @st.composite
@@ -71,6 +79,8 @@ def edited_raw(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered")  # distances between points near the float range
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=edited_raw())
+@example(raw=at_400_hz("C"))
+@example(raw=at_400_hz("D"))
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     try:
         result = run_scenario(config_from_dict(raw))

@@ -2,7 +2,8 @@
 
 `run_scenario` flies the vehicle one frame segment at a time and checks
 termination over the whole segment at once. `per_tick` replays a run the
-way the engine once stepped it: every tick it applies the frame gate, one
+way the engine once stepped it: every tick it applies the frame gate (the
+first tick within half a step of a new frame), one
 `step_uav` call (plus the planar projection) toward the setpoint recorded
 at the latest frame, and the three termination checks. Planning is not
 redone; the recorded setpoints are replayed. The run must agree with the
@@ -38,16 +39,18 @@ def per_tick(cfg, result) -> dict:
     distances = [float(np.linalg.norm(uav.position - truth[0]))]
     frame_ticks = []
     last_obs_time = None
-    reason, i = "max_time", 0
+    reason, i, frame = "max_time", 0, None
     for k in range(n_ticks):
         t = k * dt
-        if abs(t - round(t * fr) / fr) <= 0.5 * dt:
+        if round(t * fr) != frame and abs(t - round(t * fr) / fr) <= 0.5 * dt:
+            frame = round(t * fr)
             rec = next(frames)
             assert rec.time == t
             assert rec.uav_position.tobytes() == uav.position.tobytes()
             frame_ticks.append(k)
             sp = rec.setpoint
             if rec.observation is not None:
+                assert rec.observation.timestamp == frame / fr
                 last_obs_time = t
         uav = step_uav(
             uav, sp, cfg.limits, dt, cfg.tilt_coupling, cfg.kp, cfg.kd,
@@ -158,3 +161,12 @@ def test_physics_dt_that_does_not_divide_the_frame_period(sid):
     _, _, ref = run_and_replay(edited(sid, physics_dt=0.0007))
     periods = np.diff(ref["frame_ticks"])
     assert len(set(periods.tolist())) > 1  # frames fall on unevenly spaced ticks
+
+
+@pytest.mark.parametrize("sid", ["C", "D"])
+def test_frame_period_an_odd_multiple_of_half_a_step(sid):
+    # at 400 Hz and a 1 ms step, ticks 2 and 3 are both half a step from the 2.5 ms frame
+    _, result, ref = run_and_replay(edited(sid, camera__frame_rate=400.0))
+    assert ref["frame_ticks"][:3] == [0, 2, 5]
+    stamps = [rec.observation.timestamp for rec in result.records if rec.observation is not None]
+    assert len(stamps) > 2 and all(b > a for a, b in zip(stamps, stamps[1:]))

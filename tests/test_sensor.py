@@ -1,16 +1,17 @@
 """Synthetic depth-camera verification: visibility geometry, sampling statistics,
-fringe filtering, and frame gating."""
+fringe filtering, and the frame schedule."""
 
 import math
 
 import numpy as np
 import pytest
 
-from catchsim.physics import BallState, ProjectileParams
+from catchsim.physics import ProjectileParams
 from catchsim.sensor import (
     CameraModel,
     NoDetectionError,
     detect_centroid,
+    frame_schedule,
     observe,
     sample_point_cloud,
     visible,
@@ -23,7 +24,7 @@ def uav_at(p=(0.0, 0.0, 2.0), yaw=0.0, pitch=0.0):
 
 
 def ball_at(p):
-    return BallState(position=np.array(p, dtype=float), velocity=np.zeros(3))
+    return np.array(p, dtype=float)
 
 
 class TestVisible:
@@ -83,15 +84,11 @@ class TestSamplePointCloud:
         b = sample_point_cloud(*args, rng_seed=42)
         assert np.array_equal(a, b)
 
-    def test_not_visible_gives_empty(self):
-        cloud = sample_point_cloud(ball_at((-3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 1)
-        assert cloud.shape == (0, 3)
-
     def test_camera_facing_hemisphere(self):
         ball = ball_at((3.0, 0.0, 2.0))
         cloud = sample_point_cloud(ball, ProjectileParams(), uav_at(), CameraModel(), rng_seed=9)
-        to_cam = (uav_at().position - ball.position) / np.linalg.norm(uav_at().position - ball.position)
-        assert np.all((cloud - ball.position) @ to_cam >= -1e-12)
+        to_cam = (uav_at().position - ball) / np.linalg.norm(uav_at().position - ball)
+        assert np.all((cloud - ball) @ to_cam >= -1e-12)
 
     def test_radial_noise_statistics(self):
         # radial component of isotropic noise: std within 10% of sigma
@@ -139,18 +136,6 @@ class TestObserve:
         assert out.edge_fraction == 0.0
         assert out.bearing_azimuth == 0.0 and out.bearing_elevation == 0.0
 
-    def test_frame_count_over_one_second(self):
-        cam = CameraModel(frame_rate=30.0)
-        params = ProjectileParams()
-        ball = ball_at((3.0, 0.0, 2.0))
-        uav = uav_at()
-        dt = 0.001
-        count = 0
-        for k in range(1001):
-            if observe(ball, params, uav, cam, k * dt, rng_seed=(1, k), physics_dt=dt) is not None:
-                count += 1
-        assert count in (30, 31), f"got {count} observations"
-
     def test_invisible_gives_none(self):
         assert observe(ball_at((-3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0, 1) is None
 
@@ -159,23 +144,9 @@ class TestObserve:
         cam = CameraModel(noise_sigma=1e308)
         assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, 1) is None
 
-    def test_off_frame_tick_gives_none(self):
-        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0155, 1)
-        assert out is None
-
-    def test_timestamps_quantized_and_increasing(self):
-        cam = CameraModel(frame_rate=30.0)
-        params = ProjectileParams()
-        ball = ball_at((3.0, 0.0, 2.0))
-        uav = uav_at()
-        stamps = []
-        for k in range(2001):
-            out = observe(ball, params, uav, cam, k * 0.001, rng_seed=(1, k), physics_dt=0.001)
-            if out is not None:
-                stamps.append(out.timestamp)
-        assert all(b > a for a, b in zip(stamps, stamps[1:]))
-        for s in stamps:
-            assert s == pytest.approx(round(s * 30.0) / 30.0, abs=1e-12)
+    def test_timestamp_is_the_given_stamp(self):
+        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0025, 1)
+        assert out.timestamp == 0.0025
 
     def test_centroid_bias_within_one_radius(self):
         # hemisphere sampling biases the centroid toward the camera by < D/2
@@ -200,3 +171,39 @@ class TestObserve:
                 emitted += 1
                 assert out.edge_fraction < 1.0
         assert emitted > 10  # the sweep actually exercised emissions
+
+
+class TestFrameSchedule:
+    def test_frame_count_over_one_second(self):
+        ticks, stamps = frame_schedule(30.0, 0.001, 1001)
+        assert len(ticks) == len(stamps) and len(ticks) in (30, 31), f"got {len(ticks)} frames"
+
+    def test_off_frame_tick_gives_none(self):
+        # tick 31 of a 0.5 ms step is t = 0.0155 s, more than half a step from any 30 Hz frame
+        ticks, _ = frame_schedule(30.0, 0.0005, 100)
+        assert ticks[:2] == [0, 67] and 31 not in ticks
+
+    def test_timestamps_quantized_and_increasing(self):
+        _, stamps = frame_schedule(30.0, 0.001, 2001)
+        assert all(b > a for a, b in zip(stamps, stamps[1:]))
+        for s in stamps:
+            assert s == round(s * 30.0) / 30.0
+
+    def test_tied_ticks_give_one_frame_to_the_first(self):
+        # a 2.5 ms period is five half steps of 1 ms: ticks 2 and 3 both lie
+        # half a step from the 2.5 ms frame, and only tick 2 carries it
+        dt, fr = 0.001, 400.0
+        ticks, stamps = frame_schedule(fr, dt, 1000)
+        on_frame = {}
+        for k in range(1000):
+            t = k * dt
+            if abs(t - round(t * fr) / fr) <= 0.5 * dt:
+                on_frame.setdefault(round(t * fr), []).append(k)
+        assert any(len(tied) > 1 for tied in on_frame.values())
+        assert ticks == [tied[0] for tied in on_frame.values()]
+        assert stamps == [f / fr for f in on_frame]
+        assert ticks[:3] == [0, 2, 5] and stamps[:3] == [0.0, 0.0025, 0.005]
+        assert all(b > a for a, b in zip(stamps, stamps[1:]))
+
+    def test_no_ticks_no_frames(self):
+        assert frame_schedule(30.0, 0.001, 0) == ([], [])
