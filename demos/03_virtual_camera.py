@@ -61,6 +61,8 @@ print(f"With a wild outlier appended, the filtered centroid moves only "
 
 # Frame gating: the camera picks, once per run, the 1 ms physics ticks that
 # carry a frame (the first tick within half a step of each frame period).
+# At 400 Hz the 2.5 ms period is five half steps, so odd frames fall halfway
+# between two ticks; the first of the two carries each, and none is lost.
 for rate in (cam.frame_rate, 400.0):
     ticks, stamps = frame_schedule(rate, 0.001, 201)
     print(f"\nFrames in the first 0.2 s at {rate:.0f} Hz: {len(ticks)}, on ticks {ticks[:8]}... "

@@ -447,13 +447,17 @@ class ScenarioResult:
     termination_reason: str  # intercepted | ground_impact | ball_lost | max_time
 
 
-def _point_to_polyline(point: np.ndarray, vertices: np.ndarray) -> float:
-    """Minimum distance from a point to the polyline through `vertices`."""
-    if len(vertices) == 1:
-        return float(np.linalg.norm(point - vertices[0]))
+def _segments(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, direction and squared length of each segment of the polyline
+    through `vertices` (two or more)."""
     a = vertices[:-1]
     d = vertices[1:] - a
-    dd = (d * d).sum(axis=1)
+    return a, d, (d * d).sum(axis=1)
+
+
+def _point_to_polyline(point: np.ndarray, segments: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Minimum distance from a point to a polyline, given as its `_segments`."""
+    a, d, dd = segments
     t = ((point - a) * d).sum(axis=1)
     t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0), 0.0, 1.0)
     closest = a + t[:, None] * d
@@ -465,7 +469,10 @@ def prediction_error(predicted_point: np.ndarray, true_trajectory: np.ndarray) -
     vertices = np.asarray(true_trajectory, dtype=float)
     if len(vertices) == 0:
         raise ValueError("true_trajectory must be non-empty")
-    return _point_to_polyline(np.asarray(predicted_point, dtype=float), vertices)
+    point = np.asarray(predicted_point, dtype=float)
+    if len(vertices) == 1:
+        return float(np.linalg.norm(point - vertices[0]))
+    return _point_to_polyline(point, _segments(vertices))
 
 
 def final_prediction_error(result: ScenarioResult) -> float | None:
@@ -610,10 +617,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     truth_arr = positions[: end + 1]
     if planar:
         _fill_planar_errors(cfg, records, truth_arr, dt)
-    else:
+    elif predictive:
+        segments = _segments(truth_arr)  # a prediction needs two frames, so two or more vertices
         for rec in records:
             if rec.predicted_point is not None:
-                rec.prediction_error = _point_to_polyline(rec.predicted_point, truth_arr)
+                rec.prediction_error = _point_to_polyline(rec.predicted_point, segments)
 
     return ScenarioResult(
         intercepted=intercepted,

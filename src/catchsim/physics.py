@@ -9,6 +9,10 @@ The drag model follows the classic four-term sphere correlation
 
 with Re = V D / nu and drag magnitude D_r = 1/2 rho Cd V^2 A.
 
+`drag_accel` binds this model to one ball and one air once, as a
+function of velocity; the RK4 ground truth and the predictor each bind
+it once per path and call it at every evaluation.
+
 Ground truth integrates with classical RK4 so it stays a strictly
 finer-grained reference than the explicit kinematic propagation used by
 the predictor. All functions here are pure, with one piece of shared
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +37,8 @@ import numpy as np
 # drag term entirely instead of evaluating 24/Re on garbage.
 _SPEED_FLOOR = 1e-12
 _NONFINITE_STATE = "BallState components must be finite"
+
+Accel = Callable[[float, float, float], tuple[float, float, float]]  # velocity -> acceleration
 
 
 class DragMode(str, Enum):
@@ -158,51 +165,54 @@ def drag_force(rho: float, Cd: float, speed: float, area: float) -> float:
     return 0.5 * rho * Cd * speed * speed * area
 
 
-def _drag_accel_over_speed(speed: float, params: ProjectileParams, env: Environment) -> float:
-    """(D_r / m) / speed, i.e. the factor k such that a_drag = -k * v."""
-    Re = speed * params.diameter_D / env.kinematic_viscosity_nu
-    Cd = drag_coefficient(Re)
-    Dr = 0.5 * env.air_density_rho * Cd * speed * speed * params.reference_area_A
-    return Dr / params.mass_m / speed
+def drag_accel(params: ProjectileParams, env: Environment) -> Accel:
+    """The acceleration field (gravity + drag) of this ball in this air, bound once:
+    a function (vx, vy, vz) -> (ax, ay, az) in m/s^2.
 
-
-def _accel_components(
-    vx: float, vy: float, vz: float, params: ProjectileParams, env: Environment
-) -> tuple[float, float, float]:
-    """Scalar acceleration kernel shared by the public API and the integrator."""
+    Drag is -k v with k = (D_r / m) / V. The truth integrator and the
+    predictor each bind one per path, so the parameters and the drag mode
+    are read once, not at every evaluation.
+    """
     g = env.gravity_g
     if params.drag_mode is DragMode.NONE:
-        return 0.0, 0.0, -g
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if speed < _SPEED_FLOOR:
-        return 0.0, 0.0, -g
-    k = _drag_accel_over_speed(speed, params, env)
-    return -k * vx, -k * vy, -g - k * vz
+        return lambda vx, vy, vz: (0.0, 0.0, -g)
+    D, nu, A, m = params.diameter_D, env.kinematic_viscosity_nu, params.reference_area_A, params.mass_m
+    half_rho = 0.5 * env.air_density_rho  # 0.5 * rho * Cd * ... rounds left to right, so this is the same product
+
+    def accel(vx: float, vy: float, vz: float) -> tuple[float, float, float]:
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+        if speed < _SPEED_FLOOR:
+            return 0.0, 0.0, -g
+        Cd = drag_coefficient(speed * D / nu)
+        k = half_rho * Cd * speed * speed * A / m / speed
+        return -k * vx, -k * vy, -g - k * vz
+
+    return accel
 
 
 def acceleration(state: BallState, params: ProjectileParams, env: Environment) -> np.ndarray:
     """Total acceleration (gravity + drag) acting on the ball, m/s^2."""
     vx, vy, vz = (float(c) for c in state.velocity)
-    return np.array(_accel_components(vx, vy, vz, params, env))
+    return np.array(drag_accel(params, env)(vx, vy, vz))
 
 
 def _rk4_step(
     px: float, py: float, pz: float,
     vx: float, vy: float, vz: float,
-    params: ProjectileParams, env: Environment, dt: float,
+    accel: Accel, dt: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """One classical RK4 step of (p, v) under the acceleration field."""
-    a1x, a1y, a1z = _accel_components(vx, vy, vz, params, env)
+    """One classical RK4 step of (p, v) under the acceleration field `accel`."""
+    a1x, a1y, a1z = accel(vx, vy, vz)
 
     h = 0.5 * dt
     v2x, v2y, v2z = vx + h * a1x, vy + h * a1y, vz + h * a1z
-    a2x, a2y, a2z = _accel_components(v2x, v2y, v2z, params, env)
+    a2x, a2y, a2z = accel(v2x, v2y, v2z)
 
     v3x, v3y, v3z = vx + h * a2x, vy + h * a2y, vz + h * a2z
-    a3x, a3y, a3z = _accel_components(v3x, v3y, v3z, params, env)
+    a3x, a3y, a3z = accel(v3x, v3y, v3z)
 
     v4x, v4y, v4z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
-    a4x, a4y, a4z = _accel_components(v4x, v4y, v4z, params, env)
+    a4x, a4y, a4z = accel(v4x, v4y, v4z)
 
     sixth = dt / 6.0
     # position slope samples are the stage velocities
@@ -221,7 +231,7 @@ def step_ground_truth(state: BallState, params: ProjectileParams, env: Environme
         raise ValueError(f"step_ground_truth: dt must be > 0, got {dt}")
     px, py, pz = (float(c) for c in state.position)
     vx, vy, vz = (float(c) for c in state.velocity)
-    npx, npy, npz, nvx, nvy, nvz = _rk4_step(px, py, pz, vx, vy, vz, params, env, dt)
+    npx, npy, npz, nvx, nvy, nvz = _rk4_step(px, py, pz, vx, vy, vz, drag_accel(params, env), dt)
     return BallState(
         position=np.array((npx, npy, npz)),
         velocity=np.array((nvx, nvy, nvz)),
@@ -297,8 +307,9 @@ def ground_truth(
     if motion is BallMotion.BALLISTIC:
         state = (*p0.tolist(), *v0.tolist())
         samples = array("d", state)
+        accel = drag_accel(params, env)
         for _ in range(truth_length(motion, dt, n_ticks, tail_time) - 1):
-            state = _rk4_step(*state, params, env, dt)
+            state = _rk4_step(*state, accel, dt)
             if not all(map(math.isfinite, state)):
                 raise ValueError(_NONFINITE_STATE)
             samples.extend(state)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import BallState, Environment, ProjectileParams, _accel_components
+from .physics import BallState, Environment, ProjectileParams, drag_accel
 from .sensor import Observation
 
 
@@ -121,7 +121,8 @@ class PredictedPath:
             raise ValueError("PredictedPath must be non-empty")
         if self.positions.shape != (len(self.times), 3):
             raise ValueError("positions must be (N, 3) matching times")
-        if len(self.times) > 1 and not np.allclose(np.diff(self.times), self.t_step, rtol=0, atol=1e-9):
+        # the verdict of np.allclose(..., rtol=0, atol=1e-9) at less cost; NaN fails
+        if len(self.times) > 1 and not np.abs(np.diff(self.times) - self.t_step).max() <= 1e-9:
             raise ValueError("times must increase by exactly t_step")
 
     def __len__(self) -> int:
@@ -155,9 +156,10 @@ def predict_path(
     zs = [pz]
     max_steps = int(math.floor(stop.max_horizon / t_step + 1e-9))
     n_appended = 0
+    accel = drag_accel(params, env)
+    half = 0.5 * t_step * t_step
     for k in range(1, max_steps + 1):
-        ax, ay, az = _accel_components(vx, vy, vz, params, env)
-        half = 0.5 * t_step * t_step
+        ax, ay, az = accel(vx, vy, vz)
         px += vx * t_step + ax * half
         py += vy * t_step + ay * half
         pz += vz * t_step + az * half

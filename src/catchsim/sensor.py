@@ -115,12 +115,19 @@ def frame_schedule(frame_rate: float, dt: float, n_ticks: int) -> tuple[list[int
     Tick k is on a frame when k * dt lies within half a step of a multiple
     of the frame period, and that exact multiple is the frame's stamp. Two
     ticks can tie for one frame (a period that is an odd multiple of half a
-    step); the first carries it, so stamps strictly increase.
+    step); rounding decides which of them lie within half a step, and the
+    first that does carries the frame. When neither does, the first of the
+    two carries it, so every tied frame has a tick and stamps strictly
+    increase. A frame rate above the tick rate leaves the frames between
+    two ticks' nearest ones with no tick.
     """
-    times = np.arange(n_ticks) * dt
+    times = np.arange(n_ticks + 1) * dt  # and one tick past the end, to tie with the last
     frames = np.round(times * frame_rate)
     stamps = frames / frame_rate
-    ticks = np.flatnonzero(np.abs(times - stamps) <= 0.5 * dt)
+    on = np.abs(times - stamps) <= 0.5 * dt
+    # both tied ticks a hair past half a step: the one before the stamp carries it
+    on[:-1] |= (frames[:-1] == frames[1:]) & (times[:-1] < stamps[:-1]) & (stamps[:-1] < times[1:]) & ~on[1:]
+    ticks = np.flatnonzero(on[:-1])
     ticks = ticks[np.diff(frames[ticks], prepend=-1.0) != 0.0]
     return ticks.tolist(), stamps[ticks].tolist()
 

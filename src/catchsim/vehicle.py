@@ -111,10 +111,13 @@ def fly(
     Returns the final state and the (n, 3) positions after each step.
     Each step: commanded acceleration is PD on position error,
     norm-clamped to max_accel; velocity is norm-clamped to max_speed; yaw
-    slews toward the target at most max_yaw_rate * dt per step. With
+    slews toward the target at most max_yaw_rate * dt per step, and once
+    a step leaves it unchanged it has settled for the segment. With
     tilt_coupling the new pitch is atan(|a_horizontal| / g). A nonzero
     height_comp_gain raises the commanded height by gain * current pitch
-    before tracking (the "climb to keep the ball in view" mitigation).
+    before tracking (the "climb to keep the ball in view" mitigation);
+    with a zero gain no step reads the pitch, so only the last step's is
+    computed.
     With a plane (point, unit normal), position and velocity are
     projected onto it after every step. A command or velocity whose float
     norm overflows is clamped in exact arithmetic, so it keeps its
@@ -130,6 +133,8 @@ def fly(
     max_accel, max_speed = limits.max_accel, limits.max_speed
     max_dyaw = limits.max_yaw_rate * dt
     target_yaw = sp.target_yaw
+    settled = False
+    pitch_each_tick = height_comp_gain != 0.0  # otherwise no tick reads it: only the last is kept
     positions = array("d")
 
     for _ in range(n):
@@ -176,11 +181,17 @@ def fly(
         py += vy * dt
         pz += vz * dt
 
-        dyaw = wrap_angle(target_yaw - yaw)
-        dyaw = max(-max_dyaw, min(max_dyaw, dyaw))
-        yaw = wrap_angle(yaw + dyaw)
+        if not settled:
+            # the slew is a function of yaw alone here, so a yaw it leaves
+            # unchanged is left unchanged for the rest of the segment
+            dyaw = wrap_angle(target_yaw - yaw)
+            dyaw = max(-max_dyaw, min(max_dyaw, dyaw))
+            new_yaw = wrap_angle(yaw + dyaw)
+            settled = new_yaw == yaw
+            yaw = new_yaw
 
-        pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
+        if pitch_each_tick:
+            pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
         time += dt
 
         if plane is not None:
@@ -192,5 +203,7 @@ def fly(
             vx, vy, vz = (v - float(v @ n_hat) * n_hat).tolist()
         positions.extend((px, py, pz))
 
+    if n > 0 and not pitch_each_tick:
+        pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
     final = UavState(np.array((px, py, pz)), np.array((vx, vy, vz)), yaw, pitch, time)
     return final, np.frombuffer(positions).reshape(n, 3)

@@ -1,6 +1,20 @@
-"""Fixtures shared by the config-loading tests."""
+"""Fixtures shared by the config-loading tests, and the per-tick frame rule
+shared by the frame-schedule and segment tests."""
 
 import pytest
+
+
+def carries_frame(k: int, dt: float, frame_rate: float) -> bool:
+    """Tick k, alone, against the frame rule: it lies within half a step of
+    its nearest frame, or it and tick k + 1 straddle that frame and both lie
+    a rounding error past half a step (a tie). The first tick of a frame
+    number that carries it is the frame's tick."""
+    t, u = k * dt, (k + 1) * dt
+    frame = round(t * frame_rate)
+    stamp = frame / frame_rate
+    if abs(t - stamp) <= 0.5 * dt:
+        return True
+    return round(u * frame_rate) == frame and t < stamp < u and abs(u - stamp) > 0.5 * dt
 
 
 @pytest.fixture

@@ -9,13 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catchsim.physics import (
+    _SPEED_FLOOR,
     BallState,
     DragMode,
     Environment,
     ProjectileParams,
     acceleration,
+    drag_accel,
     drag_coefficient,
     drag_force,
     reynolds_number,
@@ -133,6 +137,68 @@ class TestAcceleration:
             v = rng.uniform(-8, 8, size=3)
             drag = acceleration(ball(v), params, env) - gravity
             assert float(drag @ v) <= 1e-12, f"drag {drag} has positive component along {v}"
+
+
+def reference_accel(vx, vy, vz, params, env):
+    """The acceleration arithmetic from before the kernel was bound, reading
+    the parameter objects at every call (the old `_accel_components` with
+    `_drag_accel_over_speed` inlined)."""
+    g = env.gravity_g
+    if params.drag_mode is DragMode.NONE:
+        return 0.0, 0.0, -g
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if speed < _SPEED_FLOOR:
+        return 0.0, 0.0, -g
+    Re = speed * params.diameter_D / env.kinematic_viscosity_nu
+    Cd = drag_coefficient(Re)
+    Dr = 0.5 * env.air_density_rho * Cd * speed * speed * params.reference_area_A
+    k = Dr / params.mass_m / speed
+    return -k * vx, -k * vy, -g - k * vz
+
+
+def outcome(f, *args):
+    """The bits f returns (float.hex tells -0.0 from 0.0), or what it raises."""
+    try:
+        return [c.hex() for c in f(*args)]
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+component = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.floats(-_SPEED_FLOOR, _SPEED_FLOOR),  # below the rest floor
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-1e300, 1e300),  # Re past the float range
+)
+
+
+class TestDragAccel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        mass=st.floats(1e-6, 10.0),
+        diameter=st.floats(1e-4, 1.0),
+        area=st.one_of(st.none(), st.floats(1e-8, 1.0)),
+        mode=st.sampled_from(DragMode),
+        rho=st.floats(1e-3, 100.0),
+        nu=st.floats(1e-7, 1e-2),
+        g=st.floats(0.0, 20.0),
+        v=st.tuples(component, component, component),
+    )
+    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (0.0, 0.0, 0.0))
+    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (-0.0, 5e-13, 0.0))
+    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (3.0, -1.0, 4.5))
+    @example(2.7e-3, 0.04, None, DragMode.NONE, 1.204, 1.5e-5, 9.81, (3.0, -1.0, 4.5))
+    def test_equals_the_old_arithmetic_bit_for_bit(self, mass, diameter, area, mode, rho, nu, g, v):
+        params = ProjectileParams(mass, diameter, area, mode)
+        env = Environment(g, rho, nu)
+        assert outcome(drag_accel(params, env), *v) == outcome(reference_accel, *v, params, env)
+
+    def test_overflowing_reynolds_number_raises_the_same_error(self):
+        params, env = ProjectileParams(), Environment()
+        v = (1e300, 1e300, 0.0)  # the speed overflows to inf
+        expected = (ValueError, "drag_coefficient: Re must be finite and > 0, got inf")
+        assert outcome(drag_accel(params, env), *v) == outcome(reference_accel, *v, params, env) == expected
 
 
 class TestStepGroundTruth:

@@ -105,6 +105,31 @@ class TestPushObservation:
             push_observation(q, obs(1.0, (1, 1, 1)))
 
 
+class TestPredictedPath:
+    @pytest.mark.parametrize(
+        "times, t_step, ok",
+        [
+            (0.01 * np.arange(300), 0.01, True),  # exact spacing
+            (2.5 + 0.01 * np.arange(300), 0.01, True),
+            (1e8 + 0.01 * np.arange(5), 0.01, False),  # spacing drifts by ~1.5e-8 at this t0
+            (np.array([0.0, 0.01 + 1.5e-9, 0.02 + 1.5e-9]), 0.01, False),  # past the tolerance
+            (np.array([0.0, 0.01 + 5e-10]), 0.01, True),
+            (np.array([0.0, np.nan, 0.02]), 0.01, False),
+            (np.array([0.0, np.inf]), 0.01, False),
+            (np.array([0.0]), 0.01, True),  # one sample: no spacing to check
+            (np.array([np.nan]), 0.01, True),
+        ],
+    )
+    def test_spacing_check_agrees_with_allclose(self, times, t_step, ok):
+        assert ok == (len(times) == 1 or np.allclose(np.diff(times), t_step, rtol=0, atol=1e-9))
+        positions = np.zeros((len(times), 3))
+        if ok:
+            PredictedPath(positions, times, t_step)
+        else:
+            with pytest.raises(ValueError, match="times must increase by exactly t_step"):
+                PredictedPath(positions, times, t_step)
+
+
 class TestPredictPath:
     def test_drag_free_matches_parabola(self):
         env = Environment()

@@ -3,7 +3,7 @@
 `run_scenario` flies the vehicle one frame segment at a time and checks
 termination over the whole segment at once. `per_tick` replays a run the
 way the engine once stepped it: every tick it applies the frame gate (the
-first tick within half a step of a new frame), one
+first tick of a new frame that `carries_frame`), one
 `step_uav` call (plus the planar projection) toward the setpoint recorded
 at the latest frame, and the three termination checks. Planning is not
 redone; the recorded setpoints are replayed. The run must agree with the
@@ -20,6 +20,7 @@ import pytest
 from catchsim.harness import BALL_LOST_TIMEOUT, BallMotion, ScenarioId, config_from_dict, run_scenario
 from catchsim.physics import ground_truth
 from catchsim.vehicle import UavState, hover_init, step_uav
+from conftest import carries_frame
 
 
 def bundled_raw(sid: str) -> dict:
@@ -42,7 +43,7 @@ def per_tick(cfg, result) -> dict:
     reason, i, frame = "max_time", 0, None
     for k in range(n_ticks):
         t = k * dt
-        if round(t * fr) != frame and abs(t - round(t * fr) / fr) <= 0.5 * dt:
+        if round(t * fr) != frame and carries_frame(k, dt, fr):
             frame = round(t * fr)
             rec = next(frames)
             assert rec.time == t
@@ -165,8 +166,11 @@ def test_physics_dt_that_does_not_divide_the_frame_period(sid):
 
 @pytest.mark.parametrize("sid", ["C", "D"])
 def test_frame_period_an_odd_multiple_of_half_a_step(sid):
-    # at 400 Hz and a 1 ms step, ticks 2 and 3 are both half a step from the 2.5 ms frame
+    # at 400 Hz and a 1 ms step, ticks 2 and 3 are both half a step from the
+    # 2.5 ms frame; at 12.5 ms rounding leaves both a hair past half a step,
+    # and the first, tick 12, still carries the frame: none is skipped
     _, result, ref = run_and_replay(edited(sid, camera__frame_rate=400.0))
-    assert ref["frame_ticks"][:3] == [0, 2, 5]
+    assert ref["frame_ticks"][:8] == [0, 2, 5, 7, 10, 12, 15, 17]
+    assert [round(rec.time * 400.0) for rec in result.records[:-1]] == list(range(len(ref["frame_ticks"])))
     stamps = [rec.observation.timestamp for rec in result.records if rec.observation is not None]
     assert len(stamps) > 2 and all(b > a for a, b in zip(stamps, stamps[1:]))

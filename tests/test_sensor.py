@@ -17,6 +17,7 @@ from catchsim.sensor import (
     visible,
 )
 from catchsim.vehicle import UavState
+from conftest import carries_frame
 
 
 def uav_at(p=(0.0, 0.0, 2.0), yaw=0.0, pitch=0.0):
@@ -191,19 +192,32 @@ class TestFrameSchedule:
 
     def test_tied_ticks_give_one_frame_to_the_first(self):
         # a 2.5 ms period is five half steps of 1 ms: ticks 2 and 3 both lie
-        # half a step from the 2.5 ms frame, and only tick 2 carries it
-        dt, fr = 0.001, 400.0
-        ticks, stamps = frame_schedule(fr, dt, 1000)
-        on_frame = {}
-        for k in range(1000):
-            t = k * dt
-            if abs(t - round(t * fr) / fr) <= 0.5 * dt:
-                on_frame.setdefault(round(t * fr), []).append(k)
-        assert any(len(tied) > 1 for tied in on_frame.values())
-        assert ticks == [tied[0] for tied in on_frame.values()]
-        assert stamps == [f / fr for f in on_frame]
-        assert ticks[:3] == [0, 2, 5] and stamps[:3] == [0.0, 0.0025, 0.005]
-        assert all(b > a for a, b in zip(stamps, stamps[1:]))
+        # half a step from the 2.5 ms frame, and only tick 2 carries it; at
+        # 12.5 ms rounding puts both tied ticks a hair past half a step, and
+        # the first, tick 12, carries it. Periods of three and seven half
+        # steps tie the same way.
+        dt = 0.001
+        for fr in (400.0, 2000 / 3, 2000 / 7):
+            ticks, stamps = frame_schedule(fr, dt, 1000)
+            on_frame = {}
+            for k in range(1000):
+                if carries_frame(k, dt, fr):
+                    on_frame.setdefault(round(k * dt * fr), []).append(k)
+            assert any(len(tied) > 1 for tied in on_frame.values())
+            assert ticks == [tied[0] for tied in on_frame.values()]
+            assert stamps == [f / fr for f in on_frame]
+            assert [round(s * fr) for s in stamps] == list(range(len(stamps)))  # no frame skipped
+            assert all(b > a for a, b in zip(stamps, stamps[1:]))
+        ticks, stamps = frame_schedule(400.0, dt, 1000)
+        assert ticks[:7] == [0, 2, 5, 7, 10, 12, 15] and stamps[:3] == [0.0, 0.0025, 0.005]
+        assert len(ticks) == 400
+
+    def test_frames_past_the_tick_rate_stay_lost(self):
+        # at 2500 Hz and a 1 ms step each tick carries its nearest frame; the
+        # frames between them have no tick
+        ticks, stamps = frame_schedule(2500.0, 0.001, 100)
+        assert ticks == list(range(100))
+        assert round(stamps[-1] * 2500.0) > 200  # ~2.5 frames a tick: most have none
 
     def test_no_ticks_no_frames(self):
         assert frame_schedule(30.0, 0.001, 0) == ([], [])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.planner import PlanMethod, Setpoint, UavLimits
@@ -139,6 +139,17 @@ vec3 = st.lists(coord, min_size=3, max_size=3).map(np.array)
 unit3 = vec3.filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
 
 
+def settled_yaw_example(height_comp_gain, tilt_coupling):
+    """An @example whose yaw already equals its target but is not a fixed
+    point of the slew: wrap_angle(0.1) is 0.10000000000000009."""
+    return example(
+        position=np.array([0.0, 0.0, 2.0]), velocity=np.array([0.5, -0.2, 0.0]),
+        yaw=0.1, pitch=0.2, time=0.0, target=np.array([3.0, 1.0, 2.5]), target_yaw=0.1,
+        limits=UavLimits(), dt=0.01, n=20, tilt_coupling=tilt_coupling, gains=(4.0, 3.0),
+        height_comp_gain=height_comp_gain, plane=None,
+    )
+
+
 class TestFly:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -148,7 +159,7 @@ class TestFly:
         pitch=st.floats(0.0, 1.5),
         time=st.floats(0.0, 10.0),
         target=vec3,
-        target_yaw=st.floats(-math.pi, math.pi),
+        target_yaw=st.one_of(st.floats(-math.pi, math.pi), st.none()),  # None: the start yaw
         limits=st.builds(
             UavLimits,
             max_speed=st.floats(0.1, 10.0),
@@ -162,10 +173,18 @@ class TestFly:
         height_comp_gain=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         plane=st.one_of(st.none(), st.tuples(vec3, unit3)),
     )
+    @settled_yaw_example(0.0, True)
+    @settled_yaw_example(0.0, False)
+    @settled_yaw_example(0.5, True)
+    @settled_yaw_example(0.5, False)
     def test_equals_chained_steps_bit_for_bit(
         self, position, velocity, yaw, pitch, time, target, target_yaw, limits, dt, n,
         tilt_coupling, gains, height_comp_gain, plane,
     ):
+        # step_uav is fly for one tick, which always slews and sets the pitch,
+        # so chained steps check fly's settled yaw and once-per-segment pitch
+        if target_yaw is None:
+            target_yaw = yaw
         state = UavState(position, velocity, yaw, pitch, time)
         sp = setpoint(target, target_yaw)
         kp, kd = gains
@@ -180,9 +199,22 @@ class TestFly:
                 vel = state.velocity - float(state.velocity @ n_hat) * n_hat
                 state = UavState(pos, vel, state.yaw, state.pitch, state.time)
             expected.append(state.position)
+        # and the slew written out, as an independent reference for the yaw
+        slewed, max_dyaw = yaw, limits.max_yaw_rate * dt
+        for _ in range(n):
+            slewed = wrap_angle(slewed + max(-max_dyaw, min(max_dyaw, wrap_angle(target_yaw - slewed))))
+        assert final.yaw.hex() == slewed.hex()
         assert bits(final) == bits(state)
         assert path.shape == (n, 3)
         assert path.tobytes() == np.array(expected).tobytes()
+
+    def test_a_yaw_on_its_target_still_slews_once(self):
+        # wrap_angle(0.1) is 0.10000000000000009, so a yaw equal to its target
+        # is not yet settled: the first step moves it, the rest leave it
+        assert wrap_angle(0.1) != 0.1
+        uav = UavState(np.array([0.0, 0.0, 2.0]), np.zeros(3), yaw=0.1)
+        final, _ = fly(uav, setpoint([0.0, 0.0, 2.0], yaw=0.1), UavLimits(), 0.01, 5)
+        assert final.yaw == wrap_angle(0.1)
 
     def test_time_advances_by_dt_per_step(self):
         uav = UavState(np.array([0.0, 0.0, 2.0]), np.zeros(3), time=0.5)
