@@ -382,12 +382,15 @@ def _check_throw_geometry(cfg: ScenarioConfig):
             stop=PropagationStop(cfg.max_horizon, cfg.ground_height),
         )
     uav0 = hover_init(cfg.start_elevation)
-    region = reachable_region(path, 0.0, uav0, cfg.limits)
-    if len(region) == 0:
-        raise ConfigError(
-            f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover"
-        )
-    nearest = plan_shortest(path, region, uav0).path_index
+    # a path near the float range overflows its distances to +inf, which
+    # reads as unreachable (see planner._trapezoid_time); not a warning
+    with np.errstate(over="ignore"):
+        region = reachable_region(path, 0.0, uav0, cfg.limits)
+        if len(region) == 0:
+            raise ConfigError(
+                f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover"
+            )
+        nearest = plan_shortest(path, region, uav0).path_index
     earliest = int(region.indices[0])
     if cfg.scenario_id is ScenarioId.D and nearest < len(path) / 2:
         raise ConfigError(
@@ -583,10 +586,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit
         d = np.sqrt(np.vecdot(diff, diff))
         hit = d <= limits.intercept_radius
-        grounded = ballistic & (balls[:, 2] < cfg.ground_height)
-        flagged = hit | grounded
-        if last_obs_time is not None:
-            flagged |= np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT
+        flagged = hit
+        if ballistic:
+            grounded = balls[:, 2] < cfg.ground_height
+            flagged = flagged | grounded
+        # i * dt never decreases as i grows (an int64 and a Python int round
+        # alike), so a segment with any tick past the ball-lost timeout has
+        # its last tick past it: one scalar test decides whether to build
+        # the per-tick vector
+        if last_obs_time is not None and k_next * dt - last_obs_time > BALL_LOST_TIMEOUT:
+            flagged = flagged | (np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT)
         # the run ends at the first flagged tick; otherwise the segment is flown in full
         j = int(np.argmax(flagged)) if flagged.any() else len(d) - 1
         seg_min = float(d[: j + 1].min())
@@ -595,7 +604,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         i = k + 1 + j
         uav_position = path[j]
         if flagged[j]:
-            reason = "intercepted" if hit[j] else "ground_impact" if grounded[j] else "ball_lost"
+            reason = "intercepted" if hit[j] else "ground_impact" if ballistic and grounded[j] else "ball_lost"
             break
 
     t_end = i * dt
@@ -728,7 +737,7 @@ def _fmt(v: float | None) -> str:
 def _fmt3(v: np.ndarray | None) -> list[str]:
     if v is None:
         return ["", "", ""]
-    return [_fmt(v[0]), _fmt(v[1]), _fmt(v[2])]
+    return list(map(repr, v.tolist()))  # tolist gives Python floats, as _fmt's float() does
 
 
 def trace_csv(result: ScenarioResult) -> str:

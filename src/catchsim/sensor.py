@@ -144,21 +144,28 @@ def sample_point_cloud(
     Points are uniform over the hemisphere whose outward normal faces the
     camera, each perturbed by isotropic Gaussian noise of `noise_sigma`.
     Deterministic for a fixed seed; the caller gates on visibility.
+
+    numpy's ufuncs are called directly and round as its wrappers do:
+    `sqrt(to_cam . to_cam)` is the 1-D `np.linalg.norm`,
+    `sqrt(add.reduce(x * x, axis=1))` its `axis=1` form, and scaling each
+    row by -1 or 1 is negating the rows that face away. `np.vecdot` is not
+    used for the row norms: it sums each row as the 1-D norm does, up to
+    2 ulp off the `axis=1` norm on about one row in ten.
     """
     rng = np.random.default_rng(rng_seed)
     n = cam.points_per_detection
 
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
-    norm = np.linalg.norm(to_cam)
+    norm = math.sqrt(to_cam.dot(to_cam))
     if norm == 0.0:
         to_cam = np.array([1.0, 0.0, 0.0])
     else:
         to_cam = to_cam / norm
 
     dirs = rng.normal(size=(n, 3))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    dirs /= np.maximum(np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True)), 1e-300)
     facing = dirs @ to_cam
-    dirs[facing < 0.0] *= -1.0  # mirror onto the camera-facing hemisphere
+    dirs *= np.where(facing < 0.0, -1.0, 1.0)[:, None]  # mirror onto the camera-facing hemisphere
 
     points = ball_position + 0.5 * params.diameter_D * dirs
     if cam.noise_sigma > 0.0:
@@ -172,16 +179,26 @@ def detect_centroid(points: np.ndarray) -> np.ndarray:
     Points farther than one standard deviation (of the point-to-mean
     distances) from the mean are discarded before the final mean. If the
     filter would discard everything, the unfiltered mean is returned.
+
+    Each reduction rounds as numpy's wrapper does, without its call cost:
+    `add.reduce(x, axis=0) / n` is `x.mean(axis=0)`, the distances are
+    `np.linalg.norm(axis=1)`'s `sqrt(add.reduce(x * x, axis=1))`, and the
+    threshold is `dist.std()` in the steps `ndarray.std` takes (mean,
+    deviations, mean square, square root).
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise NoDetectionError("cannot take centroid of an empty point set")
-    mu = points.mean(axis=0)
-    dist = np.linalg.norm(points - mu, axis=1)
-    keep = dist <= dist.std()
-    if not keep.any():
+    n = len(points)
+    mu = np.add.reduce(points, axis=0) / n
+    off = points - mu
+    dist = np.sqrt(np.add.reduce(off * off, axis=1))
+    dev = dist - np.add.reduce(dist) / n
+    keep = dist <= math.sqrt(np.add.reduce(dev * dev) / n)
+    count = np.count_nonzero(keep)
+    if count == 0:
         return mu
-    return points[keep].mean(axis=0)
+    return np.add.reduce(points[keep], axis=0) / count
 
 
 def observe(

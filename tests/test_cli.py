@@ -1,11 +1,19 @@
 """CLI behaviour: subcommands, exit codes, overrides, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from catchsim.cli import main
+from catchsim.harness import ConfigError, load_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def bundled_raw(sid):
@@ -66,6 +74,25 @@ class TestRun:
         cfg = write_cfg(tmp_path, "D.json", raw)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "scenario D" in capsys.readouterr().err
+
+    def test_throw_past_the_float_range_exits_2_without_a_warning(self, tmp_path):
+        # a 1e-300 kg ball's predicted path runs out near the float range; its
+        # distances from hover overflow to +inf, which reads as unreachable
+        raw = bundled_raw("D")
+        raw["projectile"] = {"mass": 1e-300}
+        cfg = write_cfg(tmp_path, "D.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no predicted point is reachable from hover"):
+                load_config(cfg)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "catchsim.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: scenario D: no predicted point is reachable from hover\n"
 
     @pytest.mark.parametrize(
         "sid, ball",

@@ -6,7 +6,9 @@ ends for one of the four termination reasons with every trace cell
 finite and a summary that serialises as strict JSON (no NaN or
 Infinity). The edited fields are the ball, projectile and environment,
 the two time settings, the vehicle's limits, gains, height compensation
-and start, the camera's frame rate and noise, and tilt coupling;
+and start, the camera (frame rate, noise, both fields of view, range,
+mount pitch and points per detection up to
+`sensor.MAX_POINTS_PER_DETECTION`), and tilt coupling;
 `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
 most ~16k ticks long. A frame period that is an odd multiple of half a
 step (400 Hz at the bundled 1 ms step, where two ticks tie for one frame)
@@ -22,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
+from catchsim.sensor import MAX_POINTS_PER_DETECTION
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
@@ -51,6 +54,14 @@ FIELDS = {
     ("uav", "start_elevation"): positive,
     ("camera", "frame_rate"): st.one_of(st.sampled_from([400.0, 2000.0 / 3.0]), positive),
     ("camera", "noise_sigma"): non_negative,
+    ("camera", "horizontal_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    ("camera", "vertical_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+    ("camera", "max_range"): positive,
+    ("camera", "mount_pitch"): anywhere,
+    # a draw near the bound costs ~10 ms per frame, so most stay at the bundled scale
+    ("camera", "points_per_detection"): st.one_of(
+        st.integers(1, 200), st.integers(1, MAX_POINTS_PER_DETECTION)
+    ),
     ("planner", "tilt_coupling"): st.booleans(),
 }
 

@@ -19,6 +19,7 @@ import pytest
 
 from catchsim.harness import BALL_LOST_TIMEOUT, BallMotion, ScenarioId, config_from_dict, run_scenario
 from catchsim.physics import ground_truth
+from catchsim.sensor import frame_schedule
 from catchsim.vehicle import UavState, hover_init, step_uav
 from conftest import carries_frame
 
@@ -109,6 +110,16 @@ def edited(sid: str, **fields) -> dict:
     return raw
 
 
+def segment_position(cfg, tick: int) -> str:
+    """Where `tick` falls in its frame segment (the ticks after a frame tick,
+    up to and including the next frame tick or the run's last tick)."""
+    n_ticks = int(round(cfg.max_sim_time / cfg.physics_dt))
+    ticks, _ = frame_schedule(cfg.camera.frame_rate, cfg.physics_dt, n_ticks)
+    start = max(k for k in ticks if k < tick)
+    end = min([k for k in ticks if k >= tick] + [n_ticks])
+    return "first" if tick == start + 1 else "last" if tick == end else "middle"
+
+
 @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
 def test_bundled_runs_match_the_per_tick_loop(sid):
     run_and_replay(bundled_raw(sid))
@@ -144,10 +155,28 @@ def test_ground_impact_inside_the_first_segment():
 
 def test_ball_lost_deadline_mid_segment():
     # at 12.5 Hz the 1 s timeout is not a whole number of frame periods
-    _, result, ref = run_and_replay(edited("B", camera__frame_rate=12.5))
+    cfg, result, ref = run_and_replay(edited("B", camera__frame_rate=12.5))
     assert result.termination_reason == "ball_lost"
-    last = ref["last_tick"]
-    assert last - 1 not in ref["frame_ticks"] and last not in ref["frame_ticks"]
+    assert segment_position(cfg, ref["last_tick"]) == "middle"
+
+
+@pytest.mark.parametrize(
+    "fields, where",
+    [
+        ({"camera__frame_rate": 10.0}, "first"),
+        ({"camera__frame_rate": 20.0}, "last"),
+        ({"camera__frame_rate": 12.5, "max_sim_time": 2.441}, "last"),  # the run's last tick
+    ],
+    ids=["first", "last", "last_of_run"],
+)
+def test_ball_lost_on_the_edge_ticks_of_a_segment(fields, where):
+    # the engine builds the per-tick ball-lost test only for a segment whose
+    # last tick is past the timeout; the deadline must still land on the
+    # same tick as in the per-tick loop at either end of a segment (the
+    # middle is test_ball_lost_deadline_mid_segment)
+    cfg, result, ref = run_and_replay(edited("B", **fields))
+    assert result.termination_reason == "ball_lost"
+    assert segment_position(cfg, ref["last_tick"]) == where
 
 
 def test_max_sim_time_shorter_than_one_frame_period():

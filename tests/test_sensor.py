@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catchsim.physics import ProjectileParams
 from catchsim.sensor import (
@@ -128,6 +130,80 @@ class TestDetectCentroid:
     def test_empty_raises(self):
         with pytest.raises(NoDetectionError):
             detect_centroid(np.empty((0, 3)))
+
+
+def reference_cloud(ball_position, params, uav, cam, rng_seed):
+    """The numpy-wrapper pipeline `sample_point_cloud` reproduces bit for bit."""
+    rng = np.random.default_rng(rng_seed)
+    n = cam.points_per_detection
+    to_cam = np.asarray(uav.position, dtype=float) - ball_position
+    norm = np.linalg.norm(to_cam)
+    if norm == 0.0:
+        to_cam = np.array([1.0, 0.0, 0.0])
+    else:
+        to_cam = to_cam / norm
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    facing = dirs @ to_cam
+    dirs[facing < 0.0] *= -1.0
+    points = ball_position + 0.5 * params.diameter_D * dirs
+    if cam.noise_sigma > 0.0:
+        points = points + rng.normal(scale=cam.noise_sigma, size=(n, 3))
+    return points
+
+
+def reference_centroid(points):
+    """The numpy-wrapper pipeline `detect_centroid` reproduces bit for bit."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise NoDetectionError("cannot take centroid of an empty point set")
+    mu = points.mean(axis=0)
+    dist = np.linalg.norm(points - mu, axis=1)
+    keep = dist <= dist.std()
+    if not keep.any():
+        return mu
+    return points[keep].mean(axis=0)
+
+
+coordinate = st.floats(-20.0, 20.0)
+position = st.tuples(coordinate, coordinate, coordinate)
+
+
+class TestLeanDetectionMatchesReference:
+    """The ufunc pipeline against the numpy-wrapper reference: same bytes.
+    A noise of 1e200 overflows every squared distance, so the filter drops
+    all points and the plain mean (still finite) comes back; 1e308 can
+    overflow the mean itself (NaN), which observe reports as no detection."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        sigma=st.one_of(st.just(0.0), st.floats(1e-4, 1.0), st.sampled_from([1e200, 1e308])),
+        ball=position,
+        uav=st.one_of(st.none(), position),  # None: the UAV at the ball's centre
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=50, sigma=0.0, ball=(3.0, 0.0, 2.0), uav=None, seed=1)
+    @example(n=50, sigma=1e308, ball=(3.0, 0.0, 2.0), uav=(0.0, 0.0, 2.0), seed=1)
+    def test_cloud_and_centroid_bytes(self, n, sigma, ball, uav, seed):
+        ball = ball_at(ball)
+        drone = uav_at(ball if uav is None else uav)
+        cam = CameraModel(noise_sigma=sigma, points_per_detection=n)
+        params = ProjectileParams()
+        cloud = sample_point_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
+        ref = reference_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
+        assert cloud.tobytes() == ref.tobytes()
+        centroid = detect_centroid(cloud)
+        assert centroid.tobytes() == reference_centroid(ref).tobytes()
+
+    def test_no_point_within_one_std_gives_the_plain_mean(self):
+        # two points equidistant from their mean: the distances' std is 0
+        # and both lie 1 from the mean, so the filter keeps none
+        points = np.array([[-1.0, 2.0, 0.5], [1.0, 2.0, 0.5]])
+        centroid = detect_centroid(points)
+        assert centroid.tobytes() == reference_centroid(points).tobytes()
+        assert centroid.tolist() == [0.0, 2.0, 0.5]
 
 
 class TestObserve:
