@@ -5,7 +5,8 @@ Subcommands:
            <id>_summary.json into the output directory.
   suite  - run the six bundled scenarios (or a directory of configs) and
            write a suite_report.json; exit 0 only if every scenario meets
-           its expected outcome shape.
+           its expected outcome shape. Its --seed takes run's override
+           path: set on the raw JSON, which is then validated once.
   accept - run the acceptance battery, one PASS/FAIL line per criterion.
 
 Exit codes are the only pass/fail channel: diagnostics go to stderr,
@@ -19,13 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 from .harness import (
     ConfigError,
     config_from_dict,
     final_prediction_error,
-    load_config,
     load_raw_config,
     run_scenario,
     scenario_expectation,
@@ -41,23 +42,25 @@ _METHOD_ALIASES = {
 SUITE_ORDER = ["A", "B", "C", "D", "E", "planar2d"]
 
 
-def _apply_overrides(raw: dict, args) -> tuple[dict, bool]:
-    """Apply --seed / --method / --no-tilt-coupling onto a raw config dict."""
-    override_method = False
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
+def _apply_overrides(raw, args) -> tuple[dict, bool]:
+    """Apply --seed / --method / --no-tilt-coupling onto a raw config, before it is validated;
+    a root or planner group that is not an object is left for config_from_dict to report."""
+    planner = {}
     if getattr(args, "method", None) is not None:
-        raw.setdefault("planner", {})["method"] = _METHOD_ALIASES[args.method]
-        override_method = True
+        planner["method"] = _METHOD_ALIASES[args.method]
     if getattr(args, "no_tilt_coupling", False):
-        raw.setdefault("planner", {})["tilt_coupling"] = False
-    return raw, override_method
+        planner["tilt_coupling"] = False
+    if isinstance(raw, dict):
+        if getattr(args, "seed", None) is not None:
+            raw["seed"] = args.seed
+        if planner and isinstance(raw.setdefault("planner", {}), dict):
+            raw["planner"].update(planner)
+    return raw, "method" in planner
 
 
 def cmd_run(args) -> int:
     try:
-        raw = load_raw_config(Path(args.config))
-        raw, override = _apply_overrides(raw, args)
+        raw, override = _apply_overrides(load_raw_config(Path(args.config)), args)
         cfg = config_from_dict(raw, allow_method_override=override)
         result = run_scenario(cfg)
     except ConfigError as exc:
@@ -73,23 +76,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from .harness import bundled_config
-
     out_dir = Path(args.out)
-    config_dir = Path(args.config) if args.config else None
+    config_dir = Path(args.config) if args.config else resources.files("catchsim.scenarios")
     report = {}
     all_ok = True
     crashed = False
     for sid in SUITE_ORDER:
         try:
-            if config_dir is None:
-                cfg = bundled_config(sid)
-            else:
-                cfg = load_config(config_dir / f"{sid}.json")
-            if args.seed is not None:
-                raw = cfg.to_dict()
-                raw["seed"] = args.seed
-                cfg = config_from_dict(raw)
+            raw, _ = _apply_overrides(load_raw_config(config_dir / f"{sid}.json"), args)
+            cfg = config_from_dict(raw)
             result = run_scenario(cfg)
             write_outputs(result, out_dir, sid)
             ok, detail = scenario_expectation(cfg, result)

@@ -17,9 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from importlib import resources
@@ -111,45 +110,35 @@ _SCENARIO_YAW = {
 
 @dataclass
 class ScenarioConfig:
-    """Fully resolved description of one scenario run."""
+    """Fully resolved description of one scenario run. Built only by
+    `config_from_dict`; the schema, not this class, declares the defaults."""
 
     scenario_id: ScenarioId
     max_sim_time: float  # s
     ball_position: np.ndarray  # m
     ball_velocity: np.ndarray  # m/s
-    ball_motion: BallMotion = BallMotion.BALLISTIC
-    projectile: ProjectileParams = field(default_factory=ProjectileParams)
-    environment: Environment = field(default_factory=Environment)
-    camera: CameraModel = field(default_factory=CameraModel)
-    limits: UavLimits = field(default_factory=UavLimits)
-    kp: float = 4.0  # s^-2
-    kd: float = 3.0  # s^-1
-    start_elevation: float = 2.0  # m
-    height_comp_gain: float = 0.0  # m/rad
-    method: PlanMethod = PlanMethod.CAT_MOUSE
-    yaw_enabled: bool = False
-    tilt_coupling: bool = True
-    edge_threshold: float = 0.8
-    hysteresis_dist: float = 0.1  # m
-    queue_capacity: int = 5
-    t_step: float = 0.01  # s
-    max_horizon: float = 3.0  # s
-    ground_height: float = 0.0  # m
-    physics_dt: float = 0.001  # s
-    seed: int = 1
-    plane_point: np.ndarray | None = None
-    plane_normal: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.scenario_id = ScenarioId(self.scenario_id)
-        self.ball_motion = BallMotion(self.ball_motion)
-        self.method = PlanMethod(self.method)
-        self.ball_position = np.asarray(self.ball_position, dtype=float)
-        self.ball_velocity = np.asarray(self.ball_velocity, dtype=float)
-        if self.plane_point is not None:
-            self.plane_point = np.asarray(self.plane_point, dtype=float)
-        if self.plane_normal is not None:
-            self.plane_normal = np.asarray(self.plane_normal, dtype=float)
+    ball_motion: BallMotion
+    projectile: ProjectileParams
+    environment: Environment
+    camera: CameraModel
+    limits: UavLimits
+    kp: float  # s^-2
+    kd: float  # s^-1
+    start_elevation: float  # m
+    height_comp_gain: float  # m/rad
+    method: PlanMethod
+    yaw_enabled: bool
+    tilt_coupling: bool
+    edge_threshold: float
+    hysteresis_dist: float  # m
+    queue_capacity: int
+    t_step: float  # s
+    max_horizon: float  # s
+    ground_height: float  # m
+    physics_dt: float  # s
+    seed: int
+    plane_point: np.ndarray | None  # planar2d only
+    plane_normal: np.ndarray | None
 
     def to_dict(self) -> dict:
         """JSON-ready dict with every default materialized; round-trips via config_from_dict."""
@@ -191,34 +180,41 @@ def _leaves(node: dict, path: tuple[str, ...] = ()):
 _FIELDS = tuple(_leaves(_SCHEMA))
 # ScenarioConfig's nested parameter objects, each with its class.
 _NESTED = {
-    f.name: f.default_factory
-    for f in dataclasses.fields(ScenarioConfig)
-    if f.default_factory is not dataclasses.MISSING
+    "projectile": ProjectileParams,
+    "environment": Environment,
+    "camera": CameraModel,
+    "limits": UavLimits,
 }
 
 
-def _check_node(value, node: dict, path: str):
-    """Validate one JSON value against a schema node; returns the normalized value."""
+def _check_node(value, node: dict, path: str, kwargs: dict):
+    """Validate a JSON object against a schema object node, storing each leaf in `kwargs`
+    under its `attr` (an omitted one gets its schema default). Unknown keys are checked
+    first, then the fields in schema order; the first fault found is reported."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    fields = node["fields"]
+    for key in value:
+        if key not in fields:
+            raise ConfigError(f"unknown field '{path}.{key}'" if path else f"unknown field '{key}'")
+    for key, sub in fields.items():
+        sub_path = f"{path}.{key}" if path else key
+        if sub["type"] == "object":
+            _check_node(value.get(key, {}), sub, sub_path, kwargs)
+            continue
+        if key in value:
+            leaf = _check_leaf(value[key], sub, sub_path)
+        elif sub.get("required", False):
+            raise ConfigError(f"missing required field '{sub_path}'")
+        else:
+            leaf = sub.get("default")
+        *owner, name = sub["attr"].split(".")
+        (kwargs[owner[0]] if owner else kwargs)[name] = leaf
+
+
+def _check_leaf(value, node: dict, path: str):
+    """Validate one JSON leaf against its schema node; returns it typed (a vec3 as a float array)."""
     kind = node["type"]
-    if kind == "object":
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-        out = {}
-        fields = node["fields"]
-        for key in value:
-            if key not in fields:
-                raise ConfigError(f"unknown field '{path}.{key}'" if path else f"unknown field '{key}'")
-        for key, sub in fields.items():
-            sub_path = f"{path}.{key}" if path else key
-            if key in value:
-                out[key] = _check_node(value[key], sub, sub_path)
-            elif sub.get("required", False):
-                raise ConfigError(f"missing required field '{sub_path}'")
-            elif sub["type"] == "object":
-                out[key] = _check_node({}, sub, sub_path)
-            else:
-                out[key] = sub.get("default")
-        return out
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -255,24 +251,25 @@ def _check_node(value, node: dict, path: str):
             raise ConfigError(f"{path}: expected a list of 3 numbers, got {value!r}")
         if any(not math.isfinite(float(v)) for v in value):
             raise ConfigError(f"{path}: components must be finite, got {value!r}")
-        return [float(v) for v in value]
+        return np.array(value, dtype=float)
     raise AssertionError(f"schema bug: unknown node type {kind!r} at {path}")
 
 
 def config_from_dict(raw: dict, allow_method_override: bool = False) -> ScenarioConfig:
     """Validate a raw JSON dict against the bundled schema and build a config.
 
-    Unknown fields are rejected. The scenario's canonical planning method
-    and yaw wiring are enforced unless allow_method_override is set (used
-    by the CLI --method flag); planar2d's method is enforced even then.
+    One schema walk checks and types each leaf once; an omitted one gets
+    the schema's default, the only declaration of it. Unknown fields are
+    rejected. The scenario's canonical planning method and yaw wiring are
+    enforced unless allow_method_override is set (used by the CLI --method
+    flag); planar2d's method is enforced even then.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    d = _check_node(raw, _SCHEMA, "")
     kwargs: dict = {name: {} for name in _NESTED}
-    for path, (*owner, name) in _FIELDS:
-        (kwargs[owner[0]] if owner else kwargs)[name] = reduce(operator.getitem, path, d)
-    sid = ScenarioId(kwargs["scenario_id"])
+    _check_node(raw, _SCHEMA, "", kwargs)
+    sid = kwargs["scenario_id"] = ScenarioId(kwargs["scenario_id"])
+    kwargs["ball_motion"] = BallMotion(kwargs["ball_motion"])
 
     method = kwargs["method"]
     method = PlanMethod(method) if method is not None else _SCENARIO_METHOD[sid]

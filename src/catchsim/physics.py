@@ -247,7 +247,6 @@ class GroundTruth:
     """
 
     positions: np.ndarray  # (n, 3) m
-    velocities: np.ndarray  # (n, 3) m/s
     times: np.ndarray  # (n,) s
 
 
@@ -261,7 +260,7 @@ def truth_length(motion: BallMotion, dt: float, n_ticks: int, tail_time: float) 
 
 
 # Enough for the three bundled throws (D, E, planar2d) interleaved in one
-# sweep; a cached throw of ~1300 samples holds ~70 KB.
+# sweep; a cached throw of ~1300 samples holds ~40 KB.
 TRUTH_CACHE_SIZE = 3
 _truth_cache: OrderedDict[tuple, GroundTruth] = OrderedDict()
 
@@ -315,11 +314,9 @@ def ground_truth(
             samples.extend(state)
             if state[2] < ground_height:
                 break
-        rows = np.frombuffer(samples).reshape(-1, 6)
-        positions, velocities = rows[:, :3].copy(), rows[:, 3:].copy()
+        positions = np.frombuffer(samples).reshape(-1, 6)[:, :3].copy()
     else:
         n = n_ticks + 1
-        velocities = np.broadcast_to(v0, (n, 3))
         if motion is BallMotion.FROZEN:
             positions = np.broadcast_to(p0, (n, 3))
         else:
@@ -332,9 +329,9 @@ def ground_truth(
     steps = np.full(len(positions), dt)
     steps[0] = 0.0
     times = np.add.accumulate(steps)
-    for a in (positions, velocities, times):
+    for a in (positions, times):
         a.flags.writeable = False
-    truth = GroundTruth(positions, velocities, times)
+    truth = GroundTruth(positions, times)
     _truth_cache[key] = truth
     if len(_truth_cache) > TRUTH_CACHE_SIZE:
         _truth_cache.popitem(last=False)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from catchsim.cli import main
+from catchsim import sensor
+from catchsim.cli import SUITE_ORDER, main
 from catchsim.harness import ConfigError, load_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -158,6 +159,43 @@ class TestRun:
         cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "nt"), "--no-tilt-coupling"]) == 0
 
+    @pytest.mark.parametrize(
+        "raw, flags, message",
+        [
+            ([1, 2], ["--seed", "3"], "config root must be an object, got list"),
+            ({"planner": 5}, ["--method", "fastest"], "planner: expected an object, got int"),
+            ({"planner": 5}, ["--no-tilt-coupling"], "planner: expected an object, got int"),
+        ],
+        ids=["root_with_seed", "planner_with_method", "planner_with_no_tilt_coupling"],
+    )
+    def test_override_on_a_malformed_config_exits_2(self, raw, flags, message, tmp_path, capsys):
+        if isinstance(raw, dict):
+            raw = {**bundled_raw("A"), **raw}
+        cfg = write_cfg(tmp_path, "bad.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    def test_noise_past_the_bound_exits_2_without_a_warning(self, sigma, tmp_path, capsys):
+        raw = bundled_raw("A")
+        raw["camera"] = {"noise_sigma": sigma}
+        cfg = write_cfg(tmp_path, "A.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        bound = sensor.MAX_NOISE_SIGMA
+        assert capsys.readouterr().err == f"error: camera.noise_sigma: must lie in [0, {bound}], got {sigma}\n"
+
+    def test_noise_at_the_bound_runs_without_a_warning(self, tmp_path):
+        raw = bundled_raw("A")
+        raw["max_sim_time"] = 0.5
+        raw["camera"] = {"noise_sigma": sensor.MAX_NOISE_SIGMA}
+        cfg = write_cfg(tmp_path, "A.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))
         blocker = tmp_path / "blocker"
@@ -185,6 +223,14 @@ class TestSuite:
         a = (tmp_path / "r1" / "suite_report.json").read_bytes()
         b = (tmp_path / "r2" / "suite_report.json").read_bytes()
         assert a == b
+
+    def test_suite_seed_writes_what_run_seed_writes(self, tmp_path):
+        assert main(["suite", "--out", str(tmp_path / "suite"), "--seed", "7"]) == 0
+        for sid in SUITE_ORDER:
+            cfg = write_cfg(tmp_path, f"{sid}.json", bundled_raw(sid))
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"), "--seed", "7"]) == 0
+            for name in (f"{sid}_trace.csv", f"{sid}_summary.json"):
+                assert (tmp_path / "suite" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
     def test_configs_that_cannot_be_read_or_decoded_fail_their_scenarios(self, tmp_path, unreadable_config):
         cfg_dir = tmp_path / "cfgs"

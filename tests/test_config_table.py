@@ -2,8 +2,8 @@
 
 Properties over schema-valid edits of the bundled configs: `to_dict`
 is a fixed point of loading, and it emits exactly the schema's leaves.
-Plus: every schema default equals the matching dataclass default, since
-defaults are declared both in the schema and on the parameter classes.
+Plus: the schema is the one declaration of each ScenarioConfig default,
+and each nested parameter class's library default equals the schema's.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from catchsim.harness import ConfigError, ScenarioConfig, config_from_dict
+from catchsim.harness import _NESTED, ConfigError, ScenarioConfig, config_from_dict
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 SCHEMA = json.loads(resources.files("catchsim.scenarios").joinpath("schema.json").read_text())
@@ -93,10 +93,9 @@ def test_to_dict_emits_exactly_the_schema_leaves(cfg):
 
 
 def dataclass_default(attr: str):
+    """The default a dataclass declares for a ScenarioConfig attribute path (MISSING if none)."""
     *owner, name = attr.split(".")
-    cls = ScenarioConfig
-    if owner:
-        cls = {f.name: f.default_factory for f in dataclasses.fields(ScenarioConfig)}[owner[0]]
+    cls = _NESTED[owner[0]] if owner else ScenarioConfig
     return {f.name: f for f in dataclasses.fields(cls)}[name].default
 
 
@@ -104,5 +103,13 @@ def dataclass_default(attr: str):
     "path", [path for path, node in LEAVES.items() if "default" in node], ids=".".join
 )
 def test_schema_default_equals_dataclass_default(path):
+    """A nested parameter class keeps its library default, which must equal the
+    schema's; a ScenarioConfig field declares none, so the schema's is the only one."""
     node = LEAVES[path]
-    assert node["default"] == dataclass_default(node["attr"])
+    expected = node["default"] if "." in node["attr"] else dataclasses.MISSING
+    assert dataclass_default(node["attr"]) == expected
+
+
+def test_scenario_config_declares_no_default():
+    for f in dataclasses.fields(ScenarioConfig):
+        assert f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING, f.name

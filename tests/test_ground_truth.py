@@ -48,7 +48,6 @@ def assert_matches_stepping(truth, p0, v0, params, env, dt, ground_height, last)
     for _ in range(len(truth.times) - 1):
         states.append(step_ground_truth(states[-1], params, env, dt))
     assert same_bits(truth.positions, [s.position for s in states])
-    assert same_bits(truth.velocities, [s.velocity for s in states])
     assert same_bits(truth.times, [s.time for s in states])
     z = truth.positions[1:, 2]
     assert not (z[:-1] < ground_height).any()
@@ -98,7 +97,6 @@ def test_linear_and_frozen_match_per_tick_formulas(motion):
         times.append(time)
     assert same_bits(truth.positions, positions)
     assert same_bits(truth.times, times)
-    assert same_bits(truth.velocities, [v0] * 501)
 
 
 @pytest.mark.parametrize("motion", list(BallMotion))
@@ -179,7 +177,7 @@ def test_every_key_field_gets_its_own_entry():
 def test_arrays_are_read_only():
     for sid in ("A", "B", "D"):
         truth = ground_truth(*truth_args(bundled_config(sid)))
-        for a in (truth.positions, truth.velocities, truth.times):
+        for a in (truth.positions, truth.times):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0

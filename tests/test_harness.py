@@ -38,7 +38,51 @@ def minimal_a(**extra):
     return raw
 
 
+BALL_A = {"position": [4.0, 0.0, 2.0], "velocity": [0.0, 0.0, 0.0], "motion": "frozen"}
+NAN, INFINITY = json.loads("NaN"), json.loads("Infinity")  # Python's json accepts both
+# One config per rejection branch of the schema walk, with the exact message.
+# The last three pin the order of the checks: a node's unknown keys first,
+# then its fields in schema order, each group's own keys when it is reached.
+SCHEMA_REJECTIONS = {
+    "root_not_an_object": ([1, 2], "config root must be an object, got list"),
+    "group_not_an_object": (minimal_a(camera=5), "camera: expected an object, got int"),
+    "nan": (minimal_a(max_sim_time=NAN), "max_sim_time: must be finite, got nan"),
+    "infinity": (minimal_a(max_sim_time=INFINITY), "max_sim_time: must be finite, got inf"),
+    "min_exclusive": (minimal_a(physics_dt=0), "physics_dt: must be > 0, got 0.0"),
+    "min": (minimal_a(camera={"noise_sigma": -1}), "camera.noise_sigma: must be >= 0, got -1.0"),
+    "integer_is_a_float": (minimal_a(seed=1.5), "seed: expected an integer, got 1.5"),
+    "integer_is_a_bool": (minimal_a(seed=True), "seed: expected an integer, got True"),
+    "integer_below_min": (
+        minimal_a(prediction={"queue_capacity": 1}), "prediction.queue_capacity: must be >= 2, got 1"
+    ),
+    "boolean": (minimal_a(planner={"tilt_coupling": 1}), "planner.tilt_coupling: expected a boolean, got 1"),
+    "string": (minimal_a(ball={**BALL_A, "motion": 3}), "ball.motion: expected a string, got 3"),
+    "vec3_length": (
+        minimal_a(ball={**BALL_A, "position": [4.0, 2.0]}),
+        "ball.position: expected a list of 3 numbers, got [4.0, 2.0]",
+    ),
+    "vec3_bool": (
+        minimal_a(ball={**BALL_A, "position": [4.0, True, 2.0]}),
+        "ball.position: expected a list of 3 numbers, got [4.0, True, 2.0]",
+    ),
+    "vec3_non_finite": (
+        minimal_a(ball={**BALL_A, "position": [4.0, NAN, 2.0]}),
+        "ball.position: components must be finite, got [4.0, nan, 2.0]",
+    ),
+    "unknown_key_before_fields": (minimal_a(bogus=1, seed=-1), "unknown field 'bogus'"),
+    "fields_in_schema_order": (minimal_a(physics_dt=0, seed=-1), "seed: must be >= 0, got -1"),
+    "group_keys_when_reached": (minimal_a(camera={"bogus": 1}, seed=-1), "seed: must be >= 0, got -1"),
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("case", SCHEMA_REJECTIONS)
+    def test_schema_rejection_message(self, case):
+        raw, message = SCHEMA_REJECTIONS[case]
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert str(exc.value) == message
+
     def test_unknown_field_named(self):
         raw = minimal_a(planner={"hysteresys_dist": 0.2})
         with pytest.raises(ConfigError, match="planner.hysteresys_dist"):
