@@ -212,13 +212,21 @@ def _check_node(value, node: dict, path: str, kwargs: dict):
         (kwargs[owner[0]] if owner else kwargs)[name] = leaf
 
 
+def _json_float(value: int | float, fault: str) -> float:
+    """A JSON number as a float; an integer literal past the float range is ConfigError(fault)."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{fault}, got an integer of {len(str(abs(value)))} digits") from None
+
+
 def _check_leaf(value, node: dict, path: str):
     """Validate one JSON leaf against its schema node; returns it typed (a vec3 as a float array)."""
     kind = node["type"]
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        value = float(value)
+        value = _json_float(value, f"{path}: must be finite")
         if not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite, got {value!r}")
         if "min_exclusive" in node and value <= node["min_exclusive"]:
@@ -249,7 +257,7 @@ def _check_leaf(value, node: dict, path: str):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
         ):
             raise ConfigError(f"{path}: expected a list of 3 numbers, got {value!r}")
-        if any(not math.isfinite(float(v)) for v in value):
+        if any(not math.isfinite(_json_float(v, f"{path}: components must be finite")) for v in value):
             raise ConfigError(f"{path}: components must be finite, got {value!r}")
         return np.array(value, dtype=float)
     raise AssertionError(f"schema bug: unknown node type {kind!r} at {path}")
@@ -379,15 +387,10 @@ def _check_throw_geometry(cfg: ScenarioConfig):
             stop=PropagationStop(cfg.max_horizon, cfg.ground_height),
         )
     uav0 = hover_init(cfg.start_elevation)
-    # a path near the float range overflows its distances to +inf, which
-    # reads as unreachable (see planner._trapezoid_time); not a warning
-    with np.errstate(over="ignore"):
-        region = reachable_region(path, 0.0, uav0, cfg.limits)
-        if len(region) == 0:
-            raise ConfigError(
-                f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover"
-            )
-        nearest = plan_shortest(path, region, uav0).path_index
+    region = reachable_region(path, 0.0, uav0, cfg.limits)
+    if len(region) == 0:
+        raise ConfigError(f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover")
+    nearest = plan_shortest(path, region, uav0).path_index
     earliest = int(region.indices[0])
     if cfg.scenario_id is ScenarioId.D and nearest < len(path) / 2:
         raise ConfigError(
@@ -447,21 +450,32 @@ class ScenarioResult:
     termination_reason: str  # intercepted | ground_impact | ball_lost | max_time
 
 
-def _segments(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start, direction and squared length of each segment of the polyline
-    through `vertices` (two or more)."""
-    a = vertices[:-1]
-    d = vertices[1:] - a
-    return a, d, (d * d).sum(axis=1)
+def _segments(vertices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The segments of the polyline through `vertices` (two or more), in column
+    form: starts `ax, ay, az`, directions `dx, dy, dz`, squared lengths and the
+    mask of positive squared lengths, each a contiguous 1-D array.
+
+    Sums over the three coordinates associate left to right, (x + y) + z:
+    the order in which numpy's `add.reduce(..., axis=1)` sums a row of three,
+    as the (N, 3) reference scorer in tests/test_harness.py does. The two
+    agree bit for bit only while numpy keeps that order."""
+    columns = np.ascontiguousarray(vertices.T)
+    ax, ay, az = starts = columns[:, :-1]
+    dx, dy, dz = columns[:, 1:] - starts
+    dd = (dx * dx + dy * dy) + dz * dz
+    return ax, ay, az, dx, dy, dz, dd, dd > 0.0
 
 
-def _point_to_polyline(point: np.ndarray, segments: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
-    """Minimum distance from a point to a polyline, given as its `_segments`."""
-    a, d, dd = segments
-    t = ((point - a) * d).sum(axis=1)
-    t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0), 0.0, 1.0)
-    closest = a + t[:, None] * d
-    return float(np.linalg.norm(point - closest, axis=1).min())
+def _point_to_polyline(point: np.ndarray, segments: tuple[np.ndarray, ...]) -> float:
+    """Minimum distance from a 3-D point to a polyline, given as its `_segments`."""
+    ax, ay, az, dx, dy, dz, dd, positive = segments
+    px, py, pz = point.tolist()
+    t = ((px - ax) * dx + (py - ay) * dy) + (pz - az) * dz
+    t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=positive), 0.0, 1.0)
+    ex = px - (ax + t * dx)
+    ey = py - (ay + t * dy)
+    ez = pz - (az + t * dz)
+    return math.sqrt(((ex * ex + ey * ey) + ez * ez).min())
 
 
 def prediction_error(predicted_point: np.ndarray, true_trajectory: np.ndarray) -> float:
@@ -489,7 +503,9 @@ def final_prediction_error(result: ScenarioResult) -> float | None:
 
 def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: ReachableRegion) -> bool:
     """Has the previous path-based target dropped out of the (new) green region?"""
-    j = int(np.argmin(np.linalg.norm(path.positions - sp.target_position, axis=1)))
+    # an overflowed distance is +inf, far from the old target; not a warning
+    with np.errstate(over="ignore"):
+        j = int(np.argmin(np.linalg.norm(path.positions - sp.target_position, axis=1)))
     k = int(np.searchsorted(region.indices, j))
     return k >= len(region.indices) or int(region.indices[k]) != j
 

@@ -110,7 +110,10 @@ def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: Uav
 
     Sample times are absolute, so the inclusion test only needs `now`.
     """
-    d = np.linalg.norm(path.positions - uav.position, axis=1)
+    # a sample near the float range overflows its distance to +inf, which
+    # reads as unreachable (see _trapezoid_time); not a warning
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(path.positions - uav.position, axis=1)
     margins = (path.times - now) - _trapezoid_time(d, limits)
     mask = margins >= 0.0
     return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask])

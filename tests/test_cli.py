@@ -115,15 +115,19 @@ class TestRun:
             ({"physics_dt": 1e-5}, "physics_dt"),
             ({"uav": {"limits": {"max_speed": 1e300}}}, "uav.limits.max_speed"),
             ({"camera": {"points_per_detection": 10**9}}, "camera.points_per_detection"),
+            # JSON integers too long for a float, named without echoing their 401 digits
+            ({"max_sim_time": 10**400}, "max_sim_time"),
+            ({"ball": {"position": [10**400, 0, 2], "velocity": [0, 0, 0], "motion": "frozen"}}, "ball.position"),
         ],
-        ids=["ball", "physics_dt", "max_speed", "points_per_detection"],
+        ids=["ball", "physics_dt", "max_speed", "points_per_detection", "long_integer", "long_integer_component"],
     )
     def test_values_past_the_float_or_sample_range_exit_2(self, edit, field, tmp_path, capsys):
         raw = bundled_raw("A")
         raw.update(edit)
         cfg = write_cfg(tmp_path, "A.json", raw)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert f"error: {field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1 and len(err) < 300, err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
@@ -195,6 +199,23 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+
+    @pytest.mark.parametrize("sid", ["D", "E"])
+    @pytest.mark.parametrize("sigma, code", [(1e50, 0), (sensor.MAX_NOISE_SIGMA, 2)])
+    def test_noisy_throw_runs_without_a_warning(self, sid, sigma, code, tmp_path, capsys):
+        # predicted paths from such detections run out past the float range; their
+        # distances overflow to +inf, which reads as unreachable or far away
+        raw = bundled_raw(sid)
+        raw.setdefault("camera", {})["noise_sigma"] = sigma
+        cfg = write_cfg(tmp_path, f"{sid}.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == code
+        if code == 2:  # at the bound the predicted path itself leaves the drag model's range
+            assert capsys.readouterr().err == (
+                "error: prediction: the predicted path cannot be computed "
+                "(drag_coefficient: Re must be finite and > 0, got inf)\n"
+            )
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from catchsim import harness
 from catchsim.harness import (
     MAX_PREDICTED_STEPS,
     MAX_TRUTH_SAMPLES,
@@ -68,6 +69,13 @@ SCHEMA_REJECTIONS = {
     "vec3_non_finite": (
         minimal_a(ball={**BALL_A, "position": [4.0, NAN, 2.0]}),
         "ball.position: components must be finite, got [4.0, nan, 2.0]",
+    ),
+    "number_past_the_float_range": (
+        minimal_a(max_sim_time=10**400), "max_sim_time: must be finite, got an integer of 401 digits"
+    ),
+    "vec3_past_the_float_range": (
+        minimal_a(ball={**BALL_A, "position": [4.0, -(10**400), 2.0]}),
+        "ball.position: components must be finite, got an integer of 401 digits",
     ),
     "unknown_key_before_fields": (minimal_a(bogus=1, seed=-1), "unknown field 'bogus'"),
     "fields_in_schema_order": (minimal_a(physics_dt=0, seed=-1), "seed: must be >= 0, got -1"),
@@ -320,6 +328,73 @@ class TestPredictionError:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
             prediction_error(np.zeros(3), np.empty((0, 3)))
+
+
+def rows_segments(vertices):
+    """Reference: the row-form `_segments`, (N, 3) starts and directions."""
+    a = vertices[:-1]
+    d = vertices[1:] - a
+    return a, d, (d * d).sum(axis=1)
+
+
+def rows_point_to_polyline(point, segments):
+    """Reference: the row-form `_point_to_polyline`, (N, 3) reductions along axis 1."""
+    a, d, dd = segments
+    t = ((point - a) * d).sum(axis=1)
+    t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0), 0.0, 1.0)
+    closest = a + t[:, None] * d
+    return float(np.linalg.norm(point - closest, axis=1).min())
+
+
+def random_polylines(rng):
+    """(vertices, points) pairs: two-vertex and long polylines, repeated
+    vertices (zero-length segments), points on a vertex, coordinates near 1e150."""
+    for scale in (1.0, 1e3, 1e150):
+        for n in (2, 3, 40, 1300):
+            vertices = rng.uniform(-scale, scale, size=(n, 3))
+            repeated = vertices[np.sort(rng.integers(0, n, size=n))]  # runs of one vertex
+            for verts in (vertices, repeated, np.repeat(vertices, 2, axis=0)):
+                off_path = rng.uniform(-2 * scale, 2 * scale, size=(8, 3))
+                yield verts, np.vstack([off_path, verts[rng.integers(0, len(verts), size=4)]])
+
+
+class TestColumnFormScorer:
+    """The column-form scorer gives the row-form one's distances bit for bit."""
+
+    def test_row_sums_of_three_associate_left_to_right(self):
+        x = np.random.default_rng(3).standard_normal((200_000, 3)) * np.array([1.0, 1e-8, 1e8])
+        assert np.array_equal(np.add.reduce(x, axis=1), (x[:, 0] + x[:, 1]) + x[:, 2]), (
+            "numpy sums a row of three in another order: harness._segments/_point_to_polyline "
+            "compute (x + y) + z, as the row-form scorer rounded, and no longer match it"
+        )
+
+    def test_random_polylines_match_the_row_form(self):
+        rng = np.random.default_rng(11)
+        for verts, points in random_polylines(rng):
+            rows, columns = rows_segments(verts), harness._segments(verts)
+            for point in points:
+                assert harness._point_to_polyline(point, columns) == rows_point_to_polyline(point, rows)
+
+    @pytest.mark.parametrize("sid", ["D", "E"])
+    def test_thrown_runs_match_the_row_form(self, sid, monkeypatch):
+        polylines, segments = [], harness._segments
+
+        def keep(vertices):
+            polylines.append(vertices)
+            return segments(vertices)
+
+        monkeypatch.setattr(harness, "_segments", keep)
+        raw = json.loads((harness._SCENARIOS / f"{sid}.json").read_text())
+        scored = 0
+        for seed in range(1, 11):
+            raw["seed"] = seed
+            result = run_scenario(config_from_dict(raw))
+            rows = rows_segments(polylines[-1])
+            for rec in result.records:
+                if rec.predicted_point is not None:
+                    assert rec.prediction_error == rows_point_to_polyline(rec.predicted_point, rows)
+                    scored += 1
+        assert len(polylines) == 10 and scored > 100
 
 
 class TestScenarioOutcomes:

@@ -92,6 +92,7 @@ def edited_raw(draw):
 @given(raw=edited_raw())
 @example(raw=at_400_hz("C"))
 @example(raw=at_400_hz("D"))
+@example(raw={**bundled_raw("A"), "max_sim_time": 10**400})  # a JSON integer too long for a float
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     try:
         result = run_scenario(config_from_dict(raw))
