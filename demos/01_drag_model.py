@@ -7,10 +7,18 @@ Run:
 
 import numpy as np
 
-from catchsim import Environment, ProjectileParams, drag_coefficient, drag_force, reynolds_number
+from catchsim import Environment, ProjectileParams, drag_accel, drag_coefficient
 
 env = Environment()
 ball = ProjectileParams()
+# the acceleration field the simulator's RK4 truth and predictor use: velocity -> gravity + drag
+accel = drag_accel(ball, env)
+
+
+def drag_deceleration(v):
+    """Drag deceleration at speed v, read off a horizontal flight (gravity acts only along z)."""
+    return -accel(v, 0.0, 0.0)[0]
+
 
 print("Ball: m = %.1f g, D = %.0f mm, A = %.3e m^2" % (ball.mass_m * 1e3, ball.diameter_D * 1e3, ball.reference_area_A))
 print("Air:  rho = %.3f kg/m^3, nu = %.1e m^2/s\n" % (env.air_density_rho, env.kinematic_viscosity_nu))
@@ -20,28 +28,22 @@ print("Cd across the Reynolds range:")
 for Re in (0.1, 1.0, 100.0, 2700.0, 1e5, 1e7):
     print(f"  Re = {Re:>10.1f}  ->  Cd = {drag_coefficient(Re):8.4f}")
 
-# Reference point: the ball at ~1 m/s sits right around Re = 2700, Cd = 0.42.
+# Reference point: the ball at ~1 m/s sits right around Re = V D / nu = 2700, Cd = 0.42.
 speed = 1.0125
-Re = reynolds_number(speed, ball.diameter_D, env.kinematic_viscosity_nu)
-Cd = drag_coefficient(Re)
-Dr = drag_force(env.air_density_rho, Cd, speed, ball.reference_area_A)
-print(f"\nAt {speed} m/s: Re = {Re:.0f}, Cd = {Cd:.4f}, drag = {Dr:.3e} N")
-print(f"Drag deceleration at that speed: {Dr / ball.mass_m:.3f} m/s^2")
+a = drag_deceleration(speed)
+print(f"\nAt {speed} m/s: Re = 2700, Cd = {drag_coefficient(2700.0):.4f}, drag = {a * ball.mass_m:.3e} N")
+print(f"Drag deceleration at that speed: {a:.3f} m/s^2")
 
 # Drag grows with v^2, so it dominates quickly: compare against gravity.
 print("\nDrag deceleration vs speed (gravity is 9.81 m/s^2):")
 for v in (1.0, 2.0, 4.0, 6.0, 8.0):
-    Re = reynolds_number(v, ball.diameter_D, env.kinematic_viscosity_nu)
-    a = drag_force(env.air_density_rho, drag_coefficient(Re), v, ball.reference_area_A) / ball.mass_m
-    print(f"  v = {v:.0f} m/s  ->  {a:6.2f} m/s^2")
+    print(f"  v = {v:.0f} m/s  ->  {drag_deceleration(v):6.2f} m/s^2")
 
 # Terminal velocity: where drag balances weight.
 v_lo, v_hi = 0.1, 30.0
 for _ in range(60):
     v = 0.5 * (v_lo + v_hi)
-    Re = reynolds_number(v, ball.diameter_D, env.kinematic_viscosity_nu)
-    Dr = drag_force(env.air_density_rho, drag_coefficient(Re), v, ball.reference_area_A)
-    if Dr > ball.mass_m * env.gravity_g:
+    if drag_deceleration(v) > env.gravity_g:
         v_hi = v
     else:
         v_lo = v

@@ -10,29 +10,27 @@ Run:
 import numpy as np
 
 from catchsim import (
-    BallState,
+    BallMotion,
     Environment,
     ObservationQueue,
     ProjectileParams,
     PropagationStop,
     estimate_velocity,
+    ground_truth,
     plane_crossing,
     predict_from_queue,
     push_observation,
-    step_ground_truth,
 )
 from catchsim.sensor import Observation
 
 env = Environment()
 params = ProjectileParams()
 
-# Ground truth: a throw arcing across the room, integrated with RK4 at 1 kHz.
-ball = BallState(position=[2.9, -0.5, 1.4], velocity=[-2.3, 0.45, 5.4])
-truth = [ball]
-while truth[-1].position[2] >= 0.0:
-    truth.append(step_ground_truth(truth[-1], params, env, 0.001))
-landing = truth[-1].position
-print(f"True flight: {truth[-1].time:.2f} s, lands at ({landing[0]:+.3f}, {landing[1]:+.3f})\n")
+# Ground truth: a throw arcing across the room, integrated with RK4 at 1 kHz
+# for up to 3 s; the path ends at its first sample below the floor (z = 0).
+truth = ground_truth(BallMotion.BALLISTIC, [2.9, -0.5, 1.4], [-2.3, 0.45, 5.4], params, env, 0.001, 0.0, 3000, 0.0)
+landing = truth.positions[-1]
+print(f"True flight: {truth.times[-1]:.2f} s, lands at ({landing[0]:+.3f}, {landing[1]:+.3f})\n")
 
 # Feed noisy 60 Hz "detections" of the flight into the queue and re-predict
 # the landing point after every frame, exactly like the interception loop.
@@ -45,9 +43,9 @@ print("frame   t      fitted velocity            predicted landing     error")
 for frame in range(0, 60):
     t = frame / 60.0
     k = int(round(t * 1000))
-    if k >= len(truth):
+    if k >= len(truth.positions):
         break
-    detected = truth[k].position + rng.normal(scale=0.01, size=3)
+    detected = truth.positions[k] + rng.normal(scale=0.01, size=3)
     push_observation(queue, Observation(detected, t, 0.0, 0.0, 0.0))
     if len(queue) < 2:
         continue

@@ -20,7 +20,6 @@ from catchsim import (
     plan_shortest,
     predict_path,
     reachable_region,
-    time_to_reach,
 )
 from catchsim.sensor import Observation
 
@@ -29,16 +28,13 @@ params = ProjectileParams()
 limits = UavLimits()
 uav = hover_init(2.0)
 
-print("Time-to-reach model (trapezoidal, from rest):")
-for d in (0.25, 0.75, 1.5, 3.0):
-    t = time_to_reach(uav, limits, uav.position + np.array([d, 0.0, 0.0]))
-    print(f"  {d:4.2f} m -> {t:.3f} s")
-
 # Predict a throw's future with perfect knowledge of its initial state.
 seed = BallState(position=[2.9, 1.2, 1.5], velocity=[-2.7, -1.4, 5.3])
 path = predict_path(seed, params, env, t_step=0.01, stop=PropagationStop(3.0, 0.0))
-print(f"\nPredicted path: {len(path)} samples over {path.times[-1] - path.times[0]:.2f} s")
+print(f"Predicted path: {len(path)} samples over {path.times[-1] - path.times[0]:.2f} s")
 
+# A sample is reachable when the UAV, accelerating from rest and then cruising
+# (a trapezoidal speed profile), gets there no later than the ball does.
 region = reachable_region(path, 0.0, uav, limits)
 print(f"Reachable ('green') region: samples {region.indices[0]}..{region.indices[-1]} "
       f"({len(region)} of {len(path)}), margins up to {region.margins.max():.2f} s")

@@ -13,11 +13,9 @@ from .physics import (
     DragMode,
     Environment,
     ProjectileParams,
-    acceleration,
+    drag_accel,
     drag_coefficient,
-    drag_force,
-    reynolds_number,
-    step_ground_truth,
+    ground_truth,
 )
 from .sensor import CameraModel, Observation, detect_centroid, frame_schedule, observe, sample_point_cloud, visible
 from .predictor import (
@@ -39,10 +37,9 @@ from .planner import (
     plan_fastest,
     plan_shortest,
     reachable_region,
-    time_to_reach,
     yaw_command,
 )
-from .vehicle import UavState, hover_init, step_uav
+from .vehicle import UavState, hover_init
 from .harness import (
     BallMotion,
     MetricsRecord,

@@ -19,7 +19,7 @@ from .harness import (
     scenario_expectation,
     trace_csv,
 )
-from .physics import BallState, Environment, ProjectileParams, drag_coefficient, step_ground_truth
+from .physics import BallMotion, BallState, Environment, ProjectileParams, drag_accel, drag_coefficient, ground_truth
 from .planner import (
     Setpoint,
     UavLimits,
@@ -30,7 +30,7 @@ from .planner import (
 )
 from .predictor import ObservationQueue, PropagationStop, estimate_velocity, predict_path, push_observation
 from .sensor import Observation
-from .vehicle import hover_init, step_uav, wrap_angle
+from .vehicle import fly, hover_init, wrap_angle
 
 # Independent term-by-term evaluation of the drag correlation at Re = 2700
 # (cross-checked against a 40-digit arbitrary-precision run).
@@ -81,13 +81,6 @@ def check_predictor_vs_rk4() -> CriterionResult:
     params = ProjectileParams()
     rng = np.random.default_rng(2024)
     stop = PropagationStop(max_horizon=0.5, ground_height=-1e9)
-
-    def rk4_endpoint(seed_state):
-        s = seed_state
-        for _ in range(500):
-            s = step_ground_truth(s, params, env, 0.001)
-        return s.position
-
     errs_coarse = []
     errs_fine = []
     for _ in range(100):
@@ -96,7 +89,9 @@ def check_predictor_vs_rk4() -> CriterionResult:
         speed = rng.uniform(1.0, 8.0)
         p0 = np.array([0.0, 0.0, rng.uniform(1.0, 3.0)])
         seed = BallState(p0, speed * direction)
-        truth = rk4_endpoint(BallState(p0.copy(), seed.velocity.copy()))
+        # the RK4 truth after 500 steps of 1 ms, with no ground to stop it
+        rk4 = ground_truth(BallMotion.BALLISTIC, p0, seed.velocity, params, env, 0.001, -1e9, 500, 0.0)
+        truth = rk4.positions[500]
         e1 = np.linalg.norm(predict_path(seed, params, env, 0.01, stop).positions[-1] - truth)
         e2 = np.linalg.norm(predict_path(seed, params, env, 0.005, stop).positions[-1] - truth)
         errs_coarse.append(float(e1))
@@ -190,11 +185,10 @@ def check_invariant_battery() -> CriterionResult:
     env = Environment()
     params = ProjectileParams()
     gravity = np.array([0.0, 0.0, -env.gravity_g])
-    from .physics import acceleration
-
+    accel = drag_accel(params, env)
     for _ in range(100):
         v = rng.uniform(-8, 8, size=3)
-        drag = acceleration(BallState(np.zeros(3), v), params, env) - gravity
+        drag = np.array(accel(*v.tolist())) - gravity
         if float(drag @ v) > 1e-12:
             failures.append("drag-opposes-velocity")
             break
@@ -228,7 +222,7 @@ def check_invariant_battery() -> CriterionResult:
     state = hover_init(2.0)
     for _ in range(100):
         sp = Setpoint(np.array([0.0, 0.0, 2.0]), float(rng.uniform(-np.pi, np.pi)), PlanMethod.CAT_MOUSE)
-        new = step_uav(state, sp, limits, 0.01)
+        new, _ = fly(state, sp, limits, 0.01, 1)
         if abs(wrap_angle(new.yaw - state.yaw)) > limits.max_yaw_rate * 0.01 + 1e-15:
             failures.append("yaw-slew")
             break

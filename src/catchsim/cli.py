@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes are the only pass/fail channel: diagnostics go to stderr,
 data to files. `run` exits 0 for any completed simulation (regardless of
-interception), 2 for a malformed config or a ball whose true (or
-predicted) path cannot be computed, 3 for I/O failures.
+interception), 2 for a malformed config or a ball whose true path
+cannot be computed, 3 for I/O failures.
 """
 
 from __future__ import annotations

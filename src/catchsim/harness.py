@@ -518,8 +518,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     setpoint, and the recorded prediction error is the distance between
     predicted and actual crossing points (filled in after the run, once the
     true trajectory is known). A ball whose true path cannot be integrated
-    is a ConfigError, raised before the first tick; so is a frame whose
-    predicted path cannot be computed.
+    is a ConfigError, raised before the first tick.
     """
     env, params, cam, limits = cfg.environment, cfg.projectile, cfg.camera, cfg.limits
     dt = cfg.physics_dt
@@ -664,17 +663,27 @@ def _tail_end(truth: GroundTruth, start: int, horizon: float, ground_height: flo
     return start + int(np.argmin(flying))
 
 
+def _predict(cfg, queue, stop):
+    """The path predicted from the queued detections, or None with fewer than
+    two or when a noisy velocity fit sends the path out of the drag model's
+    range (ArithmeticError, ValueError): a sensor event, not a config error."""
+    if len(queue) < 2:
+        return None
+    try:
+        return predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     """Shortest/fastest planning with cat & mouse fallback and setpoint hysteresis."""
     proposal = None
     predicted_point = None
     chosen_idx = None
     shortest_idx = None
-    path = None
     region = None
-    if len(queue) >= 2:
-        with _as_config_error("prediction: the predicted path cannot be computed"):
-            path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
+    path = _predict(cfg, queue, stop)
+    if path is not None:
         region = reachable_region(path, now, uav, cfg.limits)
         if len(region) > 0:
             sp_short = plan_shortest(path, region, uav)
@@ -687,7 +696,7 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
             predicted_point = proposal.target_position.copy()
 
     if proposal is None:
-        # empty region (or too few observations): chase the detection so the
+        # empty region (or no predicted path): chase the detection so the
         # ball stays in frame for later re-prediction
         sp = plan_cat_mouse(obs, uav, True, cfg.edge_threshold)
     else:
@@ -706,9 +715,8 @@ def _plan_planar(cfg, queue, obs, uav, stop):
     """Plane-crossing setpoint for the 2D experiment (falls back to projected chase)."""
     predicted_point = None
     target = obs.position
-    if len(queue) >= 2:
-        with _as_config_error("prediction: the predicted path cannot be computed"):
-            path = predict_from_queue(queue, cfg.projectile, cfg.environment, cfg.t_step, stop)
+    path = _predict(cfg, queue, stop)
+    if path is not None:
         crossing = plane_crossing(path, cfg.plane_point, cfg.plane_normal)
         if crossing is not None:
             predicted_point = target = crossing[0]

@@ -126,21 +126,6 @@ class BallState:
         ):
             raise ValueError(_NONFINITE_STATE)
 
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
-
-
-def reynolds_number(speed: float, diameter: float, nu: float) -> float:
-    """Re = V D / nu for a sphere of the given diameter."""
-    if not (math.isfinite(speed) and math.isfinite(diameter) and math.isfinite(nu)):
-        raise ValueError("reynolds_number: inputs must be finite")
-    if diameter <= 0.0 or nu <= 0.0:
-        raise ValueError(f"reynolds_number: need diameter > 0 and nu > 0, got D={diameter}, nu={nu}")
-    if speed < 0.0:
-        raise ValueError(f"reynolds_number: speed must be >= 0, got {speed}")
-    return speed * diameter / nu
-
 
 def drag_coefficient(Re: float) -> float:
     """Four-term sphere drag correlation, evaluated term by term as written.
@@ -155,14 +140,6 @@ def drag_coefficient(Re: float) -> float:
     t3 = 0.411 * (Re / 2.63e5) ** (-7.94) / (1.0 + (Re / 2.63e5) ** (-8.00))
     t4 = 0.25 * (Re / 1.0e6) / (1.0 + Re / 1.0e6)
     return t1 + t2 + t3 + t4
-
-
-def drag_force(rho: float, Cd: float, speed: float, area: float) -> float:
-    """Drag magnitude D_r = 1/2 rho Cd V^2 A in newtons."""
-    for name, v in (("rho", rho), ("Cd", Cd), ("speed", speed), ("area", area)):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"drag_force: {name} must be finite and >= 0, got {v}")
-    return 0.5 * rho * Cd * speed * speed * area
 
 
 def drag_accel(params: ProjectileParams, env: Environment) -> Accel:
@@ -188,12 +165,6 @@ def drag_accel(params: ProjectileParams, env: Environment) -> Accel:
         return -k * vx, -k * vy, -g - k * vz
 
     return accel
-
-
-def acceleration(state: BallState, params: ProjectileParams, env: Environment) -> np.ndarray:
-    """Total acceleration (gravity + drag) acting on the ball, m/s^2."""
-    vx, vy, vz = (float(c) for c in state.velocity)
-    return np.array(drag_accel(params, env)(vx, vy, vz))
 
 
 def _rk4_step(

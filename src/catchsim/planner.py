@@ -27,10 +27,6 @@ from .sensor import Observation
 from .vehicle import UavState, wrap_angle
 
 
-class NoFeasibleInterceptError(RuntimeError):
-    """The reachable region is empty; callers fall back to cat & mouse."""
-
-
 class PlanMethod(str, Enum):
     CAT_MOUSE = "cat_mouse"
     SHORTEST_PATH = "shortest_path"
@@ -93,20 +89,8 @@ def _trapezoid_time(d, limits: UavLimits) -> np.ndarray:
         return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
 
 
-def time_to_reach(uav: UavState, limits: UavLimits, target: np.ndarray) -> float:
-    """Trapezoidal point-mass estimate: accelerate from rest, then cruise.
-
-    The current velocity and the yaw dynamics are ignored. The estimate is
-    therefore not a bound: it is optimistic when the UAV is moving away
-    from the target (it must first brake) and pessimistic when the UAV is
-    already flying towards it.
-    """
-    d = float(np.linalg.norm(np.asarray(target, dtype=float) - uav.position))
-    return float(_trapezoid_time(d, limits))
-
-
 def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: UavLimits) -> ReachableRegion:
-    """Indices i with time_to_reach(sample_i) <= sample_i arrival time - now.
+    """Indices i whose trapezoidal time-to-reach is <= sample i's arrival time - now.
 
     Sample times are absolute, so the inclusion test only needs `now`.
     """
@@ -143,9 +127,7 @@ def plan_cat_mouse(obs: Observation, uav: UavState, yaw_enabled: bool, yaw_thres
 
 
 def plan_shortest(path: PredictedPath, region: ReachableRegion, uav: UavState) -> Setpoint:
-    """Reachable path sample nearest the UAV; ties break to the smaller index."""
-    if len(region) == 0:
-        raise NoFeasibleInterceptError("reachable region is empty")
+    """Reachable path sample nearest the UAV, from a non-empty region; ties break to the smaller index."""
     d = np.linalg.norm(path.positions[region.indices] - uav.position, axis=1)
     idx = int(region.indices[int(np.argmin(d))])  # argmin returns the first minimum
     return Setpoint(
@@ -157,9 +139,7 @@ def plan_shortest(path: PredictedPath, region: ReachableRegion, uav: UavState) -
 
 
 def plan_fastest(path: PredictedPath, region: ReachableRegion, uav: UavState) -> Setpoint:
-    """Reachable path sample earliest along the object's path."""
-    if len(region) == 0:
-        raise NoFeasibleInterceptError("reachable region is empty")
+    """Reachable path sample earliest along the object's path, from a non-empty region."""
     idx = int(region.indices[0])
     return Setpoint(
         target_position=path.positions[idx].copy(),

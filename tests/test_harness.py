@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,14 +468,31 @@ class TestScenarioOutcomes:
         with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(.*Re must be finite"):
             run_scenario(cfg)
 
-    def test_unpredictable_frame_is_a_config_error(self):
-        # a held ball is never integrated, but Re = v D / nu underflows in the frame's prediction
+    def test_unpredictable_frame_falls_back_to_cat_mouse(self):
+        # a held ball is never integrated, but Re = v D / nu underflows in every frame's prediction
         raw = bundled_config("D").to_dict()
         raw["ball"]["motion"] = "frozen"
         raw["environment"]["kinematic_viscosity"] = 1e40
-        cfg = config_from_dict(raw)
-        with pytest.raises(ConfigError, match=r"^prediction: the predicted path cannot be computed"):
-            run_scenario(cfg)
+        result = run_scenario(config_from_dict(raw))
+        assert result.intercepted
+        assert all(r.predicted_point is None for r in result.records)
+        assert all(r.setpoint.source_method is PlanMethod.CAT_MOUSE for r in result.records)
+
+    @pytest.mark.parametrize("sigma", [1e80, 1e90, 1e100])
+    @pytest.mark.parametrize("sid", ["D", "E", "planar2d"])
+    def test_noisy_throw_runs_to_a_termination_reason(self, sid, sigma):
+        # velocities fitted to such detections send the predicted path out of the
+        # drag model's range; those frames plan without a prediction
+        raw = bundled_config(sid).to_dict()
+        raw["camera"]["noise_sigma"] = sigma
+        for seed in range(1, 9):
+            raw["seed"] = seed
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = run_scenario(config_from_dict(raw))
+            assert result.termination_reason in ("intercepted", "ground_impact", "ball_lost", "max_time"), seed
+            for row in trace_csv(result).splitlines()[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell), (seed, row)
 
     def test_planar2d_crossing_error(self):
         result = run_scenario(bundled_config("planar2d"))

@@ -1,13 +1,15 @@
 """No schema-valid config produces a traceback.
 
 Property over edits of the six bundled configs, up to the float range:
-loading and running either raises ConfigError, or returns a result that
-ends for one of the four termination reasons with every trace cell
-finite and a summary that serialises as strict JSON (no NaN or
-Infinity). The edited fields are the ball, projectile and environment,
-the two time settings, the vehicle's limits, gains, height compensation
-and start, the camera (frame rate, noise, both fields of view, range,
-mount pitch and points per detection up to
+loading either raises ConfigError, or gives a config whose run raises
+only the `ball:` ConfigError (a true path that cannot be integrated,
+found before the first tick) or returns a result that ends for one of
+the four termination reasons with every trace cell finite and a summary
+that serialises as strict JSON (no NaN or Infinity). The edited fields
+are the ball, projectile and environment, the two time settings, the
+vehicle's limits, gains, height compensation and start, the camera
+(frame rate, noise, both fields of view, range, mount pitch and points
+per detection up to
 `sensor.MAX_POINTS_PER_DETECTION`), and tilt coupling;
 `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
 most ~16k ticks long. A frame period that is an odd multiple of half a
@@ -24,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
-from catchsim.sensor import MAX_POINTS_PER_DETECTION
+from catchsim.sensor import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
@@ -76,6 +78,12 @@ def at_400_hz(sid):
     return raw
 
 
+def noisiest(sid):
+    raw = bundled_raw(sid)
+    raw.setdefault("camera", {})["noise_sigma"] = MAX_NOISE_SIGMA
+    return raw
+
+
 @st.composite
 def edited_raw(draw):
     raw = bundled_raw(draw(st.sampled_from(SCENARIOS)))
@@ -93,10 +101,17 @@ def edited_raw(draw):
 @example(raw=at_400_hz("C"))
 @example(raw=at_400_hz("D"))
 @example(raw={**bundled_raw("A"), "max_sim_time": 10**400})  # a JSON integer too long for a float
+@example(raw=noisiest("D"))
+@example(raw=noisiest("planar2d"))
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     try:
-        result = run_scenario(config_from_dict(raw))
+        cfg = config_from_dict(raw)
     except ConfigError:
+        return
+    try:
+        result = run_scenario(cfg)
+    except ConfigError as exc:
+        assert str(exc).startswith("ball: "), exc
         return
     assert result.termination_reason in REASONS
     json.dumps(summary_dict(result), allow_nan=False)

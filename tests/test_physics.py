@@ -18,11 +18,8 @@ from catchsim.physics import (
     DragMode,
     Environment,
     ProjectileParams,
-    acceleration,
     drag_accel,
     drag_coefficient,
-    drag_force,
-    reynolds_number,
     step_ground_truth,
 )
 
@@ -35,26 +32,6 @@ CD_001_ORACLE = 2400.1526494899626
 
 def ball(v, p=(0.0, 0.0, 2.0), t=0.0):
     return BallState(position=np.array(p, dtype=float), velocity=np.array(v, dtype=float), time=t)
-
-
-class TestReynoldsNumber:
-    def test_reference_ball_speed(self):
-        # 1.0125 m/s on a 40 mm ball in room-temperature air
-        assert reynolds_number(1.0125, 0.04, 1.5e-5) == pytest.approx(2700.0, abs=1e-9)
-
-    def test_zero_speed(self):
-        assert reynolds_number(0.0, 0.04, 1.5e-5) == 0.0
-
-    def test_arithmetic(self):
-        assert reynolds_number(2.0, 0.04, 1.5e-5) == pytest.approx(5333.333333333333, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "speed,diameter,nu",
-        [(float("nan"), 0.04, 1.5e-5), (1.0, 0.0, 1.5e-5), (1.0, 0.04, 0.0), (-1.0, 0.04, 1.5e-5)],
-    )
-    def test_invalid_inputs(self, speed, diameter, nu):
-        with pytest.raises(ValueError):
-            reynolds_number(speed, diameter, nu)
 
 
 class TestDragCoefficient:
@@ -80,39 +57,20 @@ class TestDragCoefficient:
             drag_coefficient(Re)
 
 
-class TestDragForce:
-    def test_zero_speed(self):
-        assert drag_force(1.204, 0.42, 0.0, 1.25e-3) == 0.0
-
-    def test_arithmetic(self):
-        area = math.pi * 0.04**2 / 4
-        assert drag_force(1.204, 0.4206, 1.0125, area) == pytest.approx(3.261862781574116e-4, rel=1e-12)
-
-    def test_quadratic_law(self):
-        area = math.pi * 0.04**2 / 4
-        f1 = drag_force(1.204, 0.42, 1.3, area)
-        f2 = drag_force(1.204, 0.42, 2.6, area)
-        assert f2 == 4.0 * f1  # power-of-two scaling is exact in IEEE754
-
-    def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            drag_force(-1.0, 0.42, 1.0, 1e-3)
-
-
 class TestAcceleration:
     def test_rest_gives_gravity_only(self):
         env = Environment()
         for mode in (DragMode.NONE, DragMode.VELOCITY_OPPOSED):
-            a = acceleration(ball((0, 0, 0)), ProjectileParams(drag_mode=mode), env)
-            assert np.array_equal(a, [0.0, 0.0, -env.gravity_g]), mode
+            a = drag_accel(ProjectileParams(drag_mode=mode), env)(0.0, 0.0, 0.0)
+            assert a == (0.0, 0.0, -env.gravity_g), mode
 
     def test_vertical_ascent_drag_is_antiparallel(self):
         env = Environment()
         params = ProjectileParams()
         w = 3.0
-        a = acceleration(ball((0, 0, w)), params, env)
-        Re = reynolds_number(w, params.diameter_D, env.kinematic_viscosity_nu)
-        Dr = drag_force(env.air_density_rho, drag_coefficient(Re), w, params.reference_area_A)
+        a = drag_accel(params, env)(0.0, 0.0, w)
+        Re = w * params.diameter_D / env.kinematic_viscosity_nu
+        Dr = 0.5 * env.air_density_rho * drag_coefficient(Re) * w**2 * params.reference_area_A
         assert a[0] == 0.0 and a[1] == 0.0
         assert a[2] == pytest.approx(-env.gravity_g - Dr / params.mass_m, rel=1e-12)
 
@@ -125,17 +83,17 @@ class TestAcceleration:
         Re = speed * params.diameter_D / env.kinematic_viscosity_nu
         Dr = 0.5 * env.air_density_rho * drag_coefficient(Re) * speed**2 * params.reference_area_A
         expected = np.array([0.0, 0.0, -env.gravity_g]) - (Dr / params.mass_m) * (v / speed)
-        a = acceleration(ball(v), params, env)
+        a = drag_accel(params, env)(*v.tolist())
         assert np.allclose(a, expected, rtol=1e-12, atol=0.0)
 
     def test_drag_never_pushes_along_velocity(self):
         env = Environment()
-        params = ProjectileParams()
+        accel = drag_accel(ProjectileParams(), env)
         gravity = np.array([0.0, 0.0, -env.gravity_g])
         rng = np.random.default_rng(7)
         for _ in range(200):
             v = rng.uniform(-8, 8, size=3)
-            drag = acceleration(ball(v), params, env) - gravity
+            drag = np.array(accel(*v.tolist())) - gravity
             assert float(drag @ v) <= 1e-12, f"drag {drag} has positive component along {v}"
 
 
@@ -250,11 +208,11 @@ class TestStepGroundTruth:
         rng = np.random.default_rng(3)
         for _ in range(20):
             state = ball(rng.uniform(-8, 8, size=3))
-            speed = state.speed
+            speed = np.linalg.norm(state.velocity)
             for _ in range(50):
                 state = step_ground_truth(state, params, env, 0.002)
-                assert state.speed <= speed + 1e-15
-                speed = state.speed
+                assert np.linalg.norm(state.velocity) <= speed + 1e-15
+                speed = np.linalg.norm(state.velocity)
 
 
 class TestValidation:

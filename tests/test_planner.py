@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from catchsim.planner import (
-    NoFeasibleInterceptError,
     PlanMethod,
     ReachableRegion,
     UavLimits,
     plan_cat_mouse,
     plan_fastest,
     plan_shortest,
+    _trapezoid_time,
     reachable_region,
-    time_to_reach,
     yaw_command,
 )
 from catchsim.predictor import PredictedPath
@@ -47,25 +46,23 @@ def obs_with(edge, azimuth, position=(1.0, 0.0, 2.0)):
 
 class TestTimeToReach:
     def test_zero_distance(self):
-        assert time_to_reach(hover_init(2.0), UavLimits(), np.array([0.0, 0.0, 2.0])) == 0.0
+        assert _trapezoid_time(0.0, UavLimits()) == 0.0
 
     def test_branch_boundary_agrees(self):
         # d = v^2 / (2a) = 0.75 m with defaults: both formulas give 0.5 s
         limits = UavLimits(max_speed=3.0, max_accel=6.0)
-        t = time_to_reach(hover_init(2.0), limits, np.array([0.75, 0.0, 2.0]))
+        t = _trapezoid_time(0.75, limits)
         assert t == pytest.approx(0.5, rel=1e-12)
         assert t == pytest.approx(math.sqrt(2 * 0.75 / 6.0), rel=1e-12)
         assert t == pytest.approx(0.75 / 3.0 + 3.0 / 12.0, rel=1e-12)
 
     def test_cruise_distance(self):
         limits = UavLimits(max_speed=3.0, max_accel=6.0)
-        t = time_to_reach(hover_init(2.0), limits, np.array([3.0, 0.0, 2.0]))
-        assert t == pytest.approx(1.25, rel=1e-12)
+        assert _trapezoid_time(3.0, limits) == pytest.approx(1.25, rel=1e-12)
 
     def test_short_distance_accel_only(self):
         limits = UavLimits(max_speed=3.0, max_accel=6.0)
-        t = time_to_reach(hover_init(2.0), limits, np.array([0.12, 0.0, 2.0]))
-        assert t == pytest.approx(math.sqrt(2 * 0.12 / 6.0), rel=1e-12)
+        assert _trapezoid_time(0.12, limits) == pytest.approx(math.sqrt(2 * 0.12 / 6.0), rel=1e-12)
 
 
 class TestReachableRegion:
@@ -184,13 +181,6 @@ class TestPlanShortestFastest:
         for planner in (plan_shortest, plan_fastest):
             sp = planner(path, region, uav)
             assert np.array_equal(sp.target_position, path.positions[sp.path_index])
-
-    def test_empty_region_raises(self):
-        path = path_from([[1, 0, 2]])
-        empty = ReachableRegion(indices=np.array([], dtype=int), margins=np.array([]))
-        for planner in (plan_shortest, plan_fastest):
-            with pytest.raises(NoFeasibleInterceptError):
-                planner(path, empty, hover_init(2.0))
 
 
 class TestYawCommand:
