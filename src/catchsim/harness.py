@@ -505,7 +505,10 @@ def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: Reachable
     """Has the previous path-based target dropped out of the (new) green region?"""
     # an overflowed distance is +inf, far from the old target; not a warning
     with np.errstate(over="ignore"):
-        j = int(np.argmin(np.linalg.norm(path.positions - sp.target_position, axis=1)))
+        diff = path.positions - sp.target_position
+        # the distances as np.linalg.norm(diff, axis=1) computes them: the argmin
+        # breaks ties between rows on the rounded distance, not on its square
+        j = int(np.sqrt(np.add.reduce(diff * diff, axis=1)).argmin())
     k = int(np.searchsorted(region.indices, j))
     return k >= len(region.indices) or int(region.indices[k]) != j
 
@@ -595,8 +598,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         )
         balls = positions[k + 1 : k_next + 1]
         diff = path - balls
-        # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit
-        d = np.sqrt(np.vecdot(diff, diff))
+        # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit; a
+        # separation past ~1e154 m overflows it to +inf, which is not a hit
+        with np.errstate(over="ignore"):
+            d = np.sqrt(np.vecdot(diff, diff))
         hit = d <= limits.intercept_radius
         flagged = hit
         if ballistic:
@@ -608,14 +613,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         # the per-tick vector
         if last_obs_time is not None and k_next * dt - last_obs_time > BALL_LOST_TIMEOUT:
             flagged = flagged | (np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT)
-        # the run ends at the first flagged tick; otherwise the segment is flown in full
-        j = int(np.argmax(flagged)) if flagged.any() else len(d) - 1
-        seg_min = float(d[: j + 1].min())
+        # the run ends at the first flagged tick; otherwise the segment is flown in full.
+        # The reductions are the ufuncs that ndarray.any and ndarray.min call.
+        ends = np.logical_or.reduce(flagged)
+        j = int(flagged.argmax()) if ends else len(d) - 1
+        seg_min = float(np.minimum.reduce(d[: j + 1]))
         if seg_min < min_distance:
             min_distance = seg_min
         i = k + 1 + j
         uav_position = path[j]
-        if flagged[j]:
+        if ends:
             reason = "intercepted" if hit[j] else "ground_impact" if ballistic and grounded[j] else "ball_lost"
             break
 
@@ -703,7 +710,8 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
         if sp.path_index is None:
             sp = proposal
         else:
-            moved = float(np.linalg.norm(proposal.target_position - sp.target_position)) > cfg.hysteresis_dist
+            step = proposal.target_position - sp.target_position
+            moved = math.sqrt(step.dot(step)) > cfg.hysteresis_dist  # np.linalg.norm(step), bit for bit
             if moved or _old_target_left_region(sp, path, region):
                 sp = proposal
     # methods 2 & 3 always yaw to keep the object in view

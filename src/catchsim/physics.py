@@ -8,6 +8,9 @@ The drag model follows the classic four-term sphere correlation
            + 0.25 (Re/1e6) / (1 + Re/1e6)
 
 with Re = V D / nu and drag magnitude D_r = 1/2 rho Cd V^2 A.
+`drag_coefficient` computes each of the three scaled Reynolds numbers
+(Re/5, Re/2.63e5, Re/1e6) once and shares it between the numerator and
+the denominator of its term; the terms add left to right as written.
 
 `drag_accel` binds this model to one ball and one air once, as a
 function of velocity; the RK4 ground truth and the predictor each bind
@@ -128,17 +131,22 @@ class BallState:
 
 
 def drag_coefficient(Re: float) -> float:
-    """Four-term sphere drag correlation, evaluated term by term as written.
+    """Four-term sphere drag correlation; the terms add left to right as written.
 
-    Valid over the whole subcritical-to-supercritical range; the first
-    term diverges as Re -> 0+, so Re must be strictly positive.
+    Re/5, Re/2.63e5 and Re/1e6 are each divided out once and shared by the
+    numerator and denominator of their term, which gives the same float as
+    dividing twice. Valid over the whole subcritical-to-supercritical range;
+    the first term diverges as Re -> 0+, so Re must be strictly positive.
     """
-    if not math.isfinite(Re) or Re <= 0.0:
+    if not 0.0 < Re < math.inf:  # also false for NaN
         raise ValueError(f"drag_coefficient: Re must be finite and > 0, got {Re}")
+    r5 = Re / 5.0
+    rc = Re / 2.63e5
+    r6 = Re / 1.0e6
     t1 = 24.0 / Re
-    t2 = 2.6 * (Re / 5.0) / (1.0 + (Re / 5.0) ** 1.52)
-    t3 = 0.411 * (Re / 2.63e5) ** (-7.94) / (1.0 + (Re / 2.63e5) ** (-8.00))
-    t4 = 0.25 * (Re / 1.0e6) / (1.0 + Re / 1.0e6)
+    t2 = 2.6 * r5 / (1.0 + r5**1.52)
+    t3 = 0.411 * rc ** (-7.94) / (1.0 + rc ** (-8.00))
+    t4 = 0.25 * r6 / (1.0 + r6)
     return t1 + t2 + t3 + t4
 
 
@@ -275,15 +283,18 @@ def ground_truth(
     p0 = np.array(position, dtype=float)
     v0 = np.array(velocity, dtype=float)
     if motion is BallMotion.BALLISTIC:
-        state = (*p0.tolist(), *v0.tolist())
-        samples = array("d", state)
+        px, py, pz = p0.tolist()
+        vx, vy, vz = v0.tolist()
+        samples = array("d", (px, py, pz, vx, vy, vz))
         accel = drag_accel(params, env)
+        isfinite = math.isfinite
         for _ in range(truth_length(motion, dt, n_ticks, tail_time) - 1):
-            state = _rk4_step(*state, accel, dt)
-            if not all(map(math.isfinite, state)):
+            px, py, pz, vx, vy, vz = _rk4_step(px, py, pz, vx, vy, vz, accel, dt)
+            if not (isfinite(px) and isfinite(py) and isfinite(pz)
+                    and isfinite(vx) and isfinite(vy) and isfinite(vz)):
                 raise ValueError(_NONFINITE_STATE)
-            samples.extend(state)
-            if state[2] < ground_height:
+            samples.extend((px, py, pz, vx, vy, vz))
+            if pz < ground_height:
                 break
         positions = np.frombuffer(samples).reshape(-1, 6)[:, :3].copy()
     else:
@@ -293,8 +304,10 @@ def ground_truth(
         else:
             increments = np.empty((n, 3))
             increments[0] = p0
-            increments[1:] = v0 * dt
-            positions = np.add.accumulate(increments, axis=0)
+            # a path past the float range overflows to inf, which the check below raises for
+            with np.errstate(over="ignore"):
+                increments[1:] = v0 * dt
+                positions = np.add.accumulate(increments, axis=0)
             if not np.isfinite(positions).all():
                 raise ValueError(_NONFINITE_STATE)
     steps = np.full(len(positions), dt)

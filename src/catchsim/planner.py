@@ -68,10 +68,13 @@ class ReachableRegion:
 
     margins[k] is the object's arrival time at indices[k] minus the UAV's
     time-to-reach; every listed margin is >= 0 by construction.
+    distances[k] is the UAV's straight-line distance to sample indices[k]
+    when the region was computed, so the planners need not take it again.
     """
 
     indices: np.ndarray  # strictly increasing sample indices
     margins: np.ndarray  # s, aligned with indices
+    distances: np.ndarray  # m, aligned with indices
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -97,10 +100,12 @@ def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: Uav
     # a sample near the float range overflows its distance to +inf, which
     # reads as unreachable (see _trapezoid_time); not a warning
     with np.errstate(over="ignore"):
-        d = np.linalg.norm(path.positions - uav.position, axis=1)
+        diff = path.positions - uav.position
+        # the row norm as np.linalg.norm(diff, axis=1) computes it, bit for bit
+        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
     margins = (path.times - now) - _trapezoid_time(d, limits)
     mask = margins >= 0.0
-    return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask])
+    return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask], distances=d[mask])
 
 
 def yaw_command(obs: Observation, uav: UavState, edge_threshold: float = 0.8) -> float:
@@ -127,9 +132,12 @@ def plan_cat_mouse(obs: Observation, uav: UavState, yaw_enabled: bool, yaw_thres
 
 
 def plan_shortest(path: PredictedPath, region: ReachableRegion, uav: UavState) -> Setpoint:
-    """Reachable path sample nearest the UAV, from a non-empty region; ties break to the smaller index."""
-    d = np.linalg.norm(path.positions[region.indices] - uav.position, axis=1)
-    idx = int(region.indices[int(np.argmin(d))])  # argmin returns the first minimum
+    """Reachable path sample nearest the UAV, from a non-empty region; ties break to the smaller index.
+
+    The distances are the region's own, taken from the UAV it was computed
+    for; `uav` supplies only the yaw.
+    """
+    idx = int(region.indices[region.distances.argmin()])  # argmin returns the first minimum
     return Setpoint(
         target_position=path.positions[idx].copy(),
         target_yaw=wrap_angle(uav.yaw),

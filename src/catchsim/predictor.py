@@ -81,13 +81,14 @@ def estimate_velocity(queue: ObservationQueue) -> np.ndarray:
     ts = np.array([t for t, _ in queue.entries])
     ps = np.array([p for _, p in queue.entries])
     ts = ts - ts[0]
-    st = ts.sum()
-    stt = (ts * ts).sum()
+    # np.add.reduce is what ndarray.sum calls: the same pairwise summation
+    st = np.add.reduce(ts)
+    stt = np.add.reduce(ts * ts)
     denom = n * stt - st * st
     if denom == 0.0:
         raise DegenerateRegressionError("all timestamps equal; slope undefined")
-    stp = (ts[:, None] * ps).sum(axis=0)
-    sp = ps.sum(axis=0)
+    stp = np.add.reduce(ts[:, None] * ps, axis=0)
+    sp = np.add.reduce(ps, axis=0)
     return (n * stp - sp * st) / denom
 
 
@@ -121,8 +122,10 @@ class PredictedPath:
             raise ValueError("PredictedPath must be non-empty")
         if self.positions.shape != (len(self.times), 3):
             raise ValueError("positions must be (N, 3) matching times")
-        # the verdict of np.allclose(..., rtol=0, atol=1e-9) at less cost; NaN fails
-        if len(self.times) > 1 and not np.abs(np.diff(self.times) - self.t_step).max() <= 1e-9:
+        # the verdict of np.allclose(np.diff(times), t_step, rtol=0, atol=1e-9) at
+        # less cost; NaN fails
+        times = self.times
+        if len(times) > 1 and not np.abs(times[1:] - times[:-1] - self.t_step).max() <= 1e-9:
             raise ValueError("times must increase by exactly t_step")
 
     def __len__(self) -> int:
@@ -147,18 +150,18 @@ def predict_path(
         raise ValueError(f"t_step must be > 0, got {t_step}")
     if stop is None:
         stop = PropagationStop()
-    px, py, pz = (float(c) for c in initial.position)
-    vx, vy, vz = (float(c) for c in initial.velocity)
+    px, py, pz = initial.position.tolist()
+    vx, vy, vz = initial.velocity.tolist()
     t0 = initial.time
 
     xs = [px]
     ys = [py]
     zs = [pz]
     max_steps = int(math.floor(stop.max_horizon / t_step + 1e-9))
-    n_appended = 0
+    ground = stop.ground_height
     accel = drag_accel(params, env)
     half = 0.5 * t_step * t_step
-    for k in range(1, max_steps + 1):
+    for _ in range(max_steps):
         ax, ay, az = accel(vx, vy, vz)
         px += vx * t_step + ax * half
         py += vy * t_step + ay * half
@@ -169,13 +172,12 @@ def predict_path(
         xs.append(px)
         ys.append(py)
         zs.append(pz)
-        n_appended = k
-        if pz < stop.ground_height:
+        if pz < ground:
             break
 
-    times = t0 + t_step * np.arange(n_appended + 1)
+    times = t0 + t_step * np.arange(len(xs))
     return PredictedPath(
-        positions=np.column_stack((xs, ys, zs)),
+        positions=np.array((xs, ys, zs)).T.copy(),  # C-contiguous (N, 3): one row per sample
         times=times,
         t_step=t_step,
     )

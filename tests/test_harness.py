@@ -468,6 +468,32 @@ class TestScenarioOutcomes:
         with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(.*Re must be finite"):
             run_scenario(cfg)
 
+    def test_linear_ball_past_the_float_range_runs_without_a_warning(self):
+        # past ~1e154 m the UAV-ball distance overflows to +inf: not a hit, not a warning
+        raw = bundled_config("B").to_dict()
+        raw["ball"] = {"position": [4.0, 1.8, 2.0], "velocity": [0.0, 0.0, 1.3e154], "motion": "linear"}
+        cfg = config_from_dict(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_scenario(cfg)
+        assert not result.intercepted
+        assert result.termination_reason in ("ball_lost", "max_time")
+
+    @pytest.mark.parametrize(
+        ("sid", "speed", "dt"),
+        [("A", 3e307, None), ("B", 8.98846567431158e307, 2.0)],
+        ids=["accumulate", "multiply"],
+    )
+    def test_linear_truth_past_the_float_range_is_the_ball_error_without_a_warning(self, sid, speed, dt):
+        raw = bundled_config(sid).to_dict()
+        raw["ball"] = {"position": raw["ball"]["position"], "velocity": [0.0, 0.0, speed], "motion": "linear"}
+        if dt is not None:
+            raw["physics_dt"] = dt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(BallState"):
+                run_scenario(config_from_dict(raw))
+
     def test_unpredictable_frame_falls_back_to_cat_mouse(self):
         # a held ball is never integrated, but Re = v D / nu underflows in every frame's prediction
         raw = bundled_config("D").to_dict()

@@ -21,7 +21,6 @@ import json
 import math
 from importlib import resources
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +77,10 @@ def at_400_hz(sid):
     return raw
 
 
+def linear_ball(sid, position, velocity):
+    return {**bundled_raw(sid), "ball": {"position": position, "velocity": velocity, "motion": "linear"}}
+
+
 def noisiest(sid):
     raw = bundled_raw(sid)
     raw.setdefault("camera", {})["noise_sigma"] = MAX_NOISE_SIGMA
@@ -95,7 +98,6 @@ def edited_raw(draw):
     return raw
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # distances between points near the float range
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=edited_raw())
 @example(raw=at_400_hz("C"))
@@ -103,6 +105,8 @@ def edited_raw(draw):
 @example(raw={**bundled_raw("A"), "max_sim_time": 10**400})  # a JSON integer too long for a float
 @example(raw=noisiest("D"))
 @example(raw=noisiest("planar2d"))
+@example(raw=linear_ball("B", [4.0, 1.8, 2.0], [0.0, 0.0, 1.3e154]))  # the UAV-ball distance overflows
+@example(raw=linear_ball("A", [4.0, 0.0, 2.0], [0.0, 0.0, 3e307]))  # the true path overflows
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     try:
         cfg = config_from_dict(raw)

@@ -34,6 +34,17 @@ def ball(v, p=(0.0, 0.0, 2.0), t=0.0):
     return BallState(position=np.array(p, dtype=float), velocity=np.array(v, dtype=float), time=t)
 
 
+def reference_drag_coefficient(Re):
+    """The correlation as it read term by term, each quotient written where it is used."""
+    if not math.isfinite(Re) or Re <= 0.0:
+        raise ValueError(f"drag_coefficient: Re must be finite and > 0, got {Re}")
+    t1 = 24.0 / Re
+    t2 = 2.6 * (Re / 5.0) / (1.0 + (Re / 5.0) ** 1.52)
+    t3 = 0.411 * (Re / 2.63e5) ** (-7.94) / (1.0 + (Re / 2.63e5) ** (-8.00))
+    t4 = 0.25 * (Re / 1.0e6) / (1.0 + Re / 1.0e6)
+    return t1 + t2 + t3 + t4
+
+
 class TestDragCoefficient:
     def test_reference_reynolds(self):
         cd = drag_coefficient(2700.0)
@@ -55,6 +66,18 @@ class TestDragCoefficient:
     def test_domain_errors(self, Re):
         with pytest.raises(ValueError):
             drag_coefficient(Re)
+
+    @settings(max_examples=400, deadline=None)
+    @given(Re=st.one_of(st.floats(1e-6, 1e12), st.floats(0.0, 1e308, exclude_min=True)))
+    @example(Re=2700.0)
+    @example(Re=5e-324)  # (Re / 2.63e5) ** -7.94 overflows: the same OverflowError
+    def test_equals_the_term_by_term_formula_bit_for_bit(self, Re):
+        assert outcome(lambda: [drag_coefficient(Re)]) == outcome(lambda: [reference_drag_coefficient(Re)])
+
+    @pytest.mark.parametrize("Re", [0.0, -0.0, -1.0, -1e300, -math.inf, math.inf, math.nan])
+    def test_domain_errors_match_the_term_by_term_formula(self, Re):
+        expected = (ValueError, f"drag_coefficient: Re must be finite and > 0, got {Re}")
+        assert outcome(lambda: [drag_coefficient(Re)]) == outcome(lambda: [reference_drag_coefficient(Re)]) == expected
 
 
 class TestAcceleration:
@@ -100,7 +123,7 @@ class TestAcceleration:
 def reference_accel(vx, vy, vz, params, env):
     """The acceleration arithmetic from before the kernel was bound, reading
     the parameter objects at every call (the old `_accel_components` with
-    `_drag_accel_over_speed` inlined)."""
+    `_drag_accel_over_speed` and the term-by-term Cd inlined)."""
     g = env.gravity_g
     if params.drag_mode is DragMode.NONE:
         return 0.0, 0.0, -g
@@ -108,7 +131,7 @@ def reference_accel(vx, vy, vz, params, env):
     if speed < _SPEED_FLOOR:
         return 0.0, 0.0, -g
     Re = speed * params.diameter_D / env.kinematic_viscosity_nu
-    Cd = drag_coefficient(Re)
+    Cd = reference_drag_coefficient(Re)
     Dr = 0.5 * env.air_density_rho * Cd * speed * speed * params.reference_area_A
     k = Dr / params.mass_m / speed
     return -k * vx, -k * vy, -g - k * vz

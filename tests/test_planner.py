@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchsim.planner import (
     PlanMethod,
@@ -113,6 +115,47 @@ class TestReachableRegion:
         assert list(region.indices) == [0]
 
 
+# points at the bundled scale, with a few exact coordinates so that distances
+# tie, and some out near the float range so that distances overflow
+bundled = st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-2.0, 0.0, 1.0, 2.0])), min_size=3, max_size=3)
+anywhere = st.lists(st.floats(-1e200, 1e200), min_size=3, max_size=3)
+
+
+@st.composite
+def planning_case(draw):
+    """A predicted path, a UAV, a clock and limits: the inputs of reachable_region."""
+    points = draw(st.lists(st.one_of(bundled, bundled, bundled, anywhere), min_size=1, max_size=40))
+    t0 = draw(st.floats(0.0, 2.0))
+    path = path_from(points, t0=t0, t_step=draw(st.sampled_from([0.01, 0.1, 0.5])))
+    uav = uav_at(draw(bundled))
+    now = t0 - draw(st.floats(-0.5, 4.0))  # mostly before the path starts, so regions are not all empty
+    limits = UavLimits(max_speed=draw(st.floats(1.0, 1e3)), max_accel=draw(st.floats(1.0, 1e3)))
+    return path, now, uav, limits
+
+
+class TestRegionDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(case=planning_case())
+    def test_distances_equal_the_row_norm_bit_for_bit(self, case):
+        path, now, uav, limits = case
+        region = reachable_region(path, now, uav, limits)
+        with np.errstate(over="ignore"):
+            expected = np.linalg.norm(path.positions[region.indices] - uav.position, axis=1)
+        assert region.distances.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=planning_case(), keep=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_shortest_index_equals_the_renormed_argmin(self, case, keep):
+        path, now, uav, limits = case
+        region = reachable_region(path, now, uav, limits)
+        mask = np.array(keep[: len(region)], dtype=bool)
+        region = ReachableRegion(region.indices[mask], region.margins[mask], region.distances[mask])
+        if len(region) == 0:
+            return
+        d = np.linalg.norm(path.positions[region.indices] - uav.position, axis=1)
+        assert plan_shortest(path, region, uav).path_index == int(region.indices[int(np.argmin(d))])
+
+
 class TestPlanCatMouse:
     def test_target_is_observation(self):
         obs = obs_with(0.0, 0.0, position=(4.0, 1.0, 2.0))
@@ -133,31 +176,36 @@ class TestPlanCatMouse:
 
 
 class TestPlanShortestFastest:
-    def region_over(self, path, indices):
+    def region_over(self, path, indices, uav):
         indices = np.asarray(indices)
-        return ReachableRegion(indices=indices, margins=np.zeros(len(indices)))
+        distances = np.linalg.norm(path.positions[indices] - uav.position, axis=1)
+        return ReachableRegion(indices=indices, margins=np.zeros(len(indices)), distances=distances)
 
     def test_single_index(self):
         path = path_from([[1, 0, 2], [2, 0, 2], [3, 0, 2]])
-        sp = plan_shortest(path, self.region_over(path, [2]), hover_init(2.0))
+        uav = hover_init(2.0)
+        sp = plan_shortest(path, self.region_over(path, [2], uav), uav)
         assert sp.path_index == 2
         assert np.array_equal(sp.target_position, path.positions[2])
 
     def test_distance_table(self):
         # distances {4, 2, 3} over region {1, 2, 3} -> index 2
         path = path_from([[9, 0, 2], [4, 0, 2], [2, 0, 2], [3, 0, 2]])
-        sp = plan_shortest(path, self.region_over(path, [1, 2, 3]), hover_init(2.0))
+        uav = hover_init(2.0)
+        sp = plan_shortest(path, self.region_over(path, [1, 2, 3], uav), uav)
         assert sp.path_index == 2
         assert sp.source_method is PlanMethod.SHORTEST_PATH
 
     def test_tie_breaks_to_smaller_index(self):
         path = path_from([[2, 0, 2], [0, 2, 4], [2, 0, 2]])
-        sp = plan_shortest(path, self.region_over(path, [0, 2]), hover_init(2.0))
+        uav = hover_init(2.0)
+        sp = plan_shortest(path, self.region_over(path, [0, 2], uav), uav)
         assert sp.path_index == 0
 
     def test_fastest_takes_first_region_index(self):
         path = path_from(np.tile([[3.0, 0.0, 2.0]], (10, 1)))
-        sp = plan_fastest(path, self.region_over(path, [3, 7, 9]), hover_init(2.0))
+        uav = hover_init(2.0)
+        sp = plan_fastest(path, self.region_over(path, [3, 7, 9], uav), uav)
         assert sp.path_index == 3
         assert sp.source_method is PlanMethod.FASTEST_PATH
 
@@ -169,7 +217,7 @@ class TestPlanShortestFastest:
             path = path_from(pts)
             k = rng.integers(1, 8)
             indices = np.sort(rng.choice(20, size=k, replace=False))
-            region = self.region_over(path, indices)
+            region = self.region_over(path, indices, uav)
             assert plan_fastest(path, region, uav).path_index <= plan_shortest(path, region, uav).path_index
 
     def test_setpoints_lie_on_path(self):
@@ -177,7 +225,7 @@ class TestPlanShortestFastest:
         uav = hover_init(2.0)
         pts = rng.uniform(-3, 3, size=(15, 3))
         path = path_from(pts)
-        region = self.region_over(path, [2, 5, 11])
+        region = self.region_over(path, [2, 5, 11], uav)
         for planner in (plan_shortest, plan_fastest):
             sp = planner(path, region, uav)
             assert np.array_equal(sp.target_position, path.positions[sp.path_index])

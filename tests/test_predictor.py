@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchsim.physics import BallState, DragMode, Environment, ProjectileParams, step_ground_truth
 from catchsim.predictor import (
@@ -75,6 +77,51 @@ class TestEstimateVelocity:
         q.entries = [(1.0, np.zeros(3)), (1.0, np.ones(3))]  # bypass push ordering
         with pytest.raises(DegenerateRegressionError):
             estimate_velocity(q)
+
+
+def reference_velocity(queue):
+    """estimate_velocity as it read with every sum taken by ndarray.sum."""
+    n = len(queue.entries)
+    if n < 2:
+        raise InsufficientDataError(f"need >= 2 observations, have {n}")
+    ts = np.array([t for t, _ in queue.entries])
+    ps = np.array([p for _, p in queue.entries])
+    ts = ts - ts[0]
+    st_ = ts.sum()
+    stt = (ts * ts).sum()
+    denom = n * stt - st_ * st_
+    if denom == 0.0:
+        raise DegenerateRegressionError("all timestamps equal; slope undefined")
+    stp = (ts[:, None] * ps).sum(axis=0)
+    sp = ps.sum(axis=0)
+    return (n * stp - sp * st_) / denom
+
+
+def velocity_outcome(f, queue):
+    """The bits f(queue) returns, or what it raises."""
+    try:
+        return f(queue).tobytes()
+    except ValueError as e:
+        return type(e), str(e)
+
+
+class TestEstimateVelocityReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(2, 16),
+        steps=st.lists(st.floats(1e-6, 10.0), max_size=24),
+        t0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        data=st.data(),
+    )
+    def test_equals_the_sum_form_bit_for_bit(self, capacity, steps, t0, data):
+        # pushes past the capacity slide the window; from 8 entries the sums are pairwise
+        coordinate = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e100, 1e100))
+        q = ObservationQueue(capacity=capacity)
+        t = t0
+        for dt in [0.0, *steps]:
+            t += dt  # a step of 1e-6 s still advances t at 1e6 s
+            push_observation(q, obs(t, data.draw(st.lists(coordinate, min_size=3, max_size=3))))
+        assert velocity_outcome(estimate_velocity, q) == velocity_outcome(reference_velocity, q)
 
 
 class TestPushObservation:
