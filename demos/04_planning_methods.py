@@ -39,20 +39,21 @@ region = reachable_region(path, 0.0, uav, limits)
 print(f"Reachable ('green') region: samples {region.indices[0]}..{region.indices[-1]} "
       f"({len(region)} of {len(path)}), margins up to {region.margins.max():.2f} s")
 
-sp_short = plan_shortest(path, region, uav)
-sp_fast = plan_fastest(path, region, uav)
+# The predictive planners pick a path index; cat & mouse targets the detection.
+i_short = plan_shortest(region)
+i_fast = plan_fastest(region)
 obs = Observation(seed.position.copy(), 0.0, bearing_azimuth=0.39, bearing_elevation=-0.16, edge_fraction=0.65)
 sp_cat = plan_cat_mouse(obs, uav, yaw_enabled=True)
 
 print("\nMethod choices:")
-for name, sp in (("cat & mouse", sp_cat), ("shortest path", sp_short), ("fastest path", sp_fast)):
-    tgt = sp.target_position
-    idx = "-" if sp.path_index is None else str(sp.path_index)
+for name, idx in (("cat & mouse", None), ("shortest path", i_short), ("fastest path", i_fast)):
+    tgt = sp_cat.target_position if idx is None else path.positions[idx]
+    label = "-" if idx is None else str(idx)
     d = np.linalg.norm(tgt - uav.position)
     print(f"  {name:14s} -> target ({tgt[0]:+.2f},{tgt[1]:+.2f},{tgt[2]:+.2f}), "
-          f"path index {idx:>3s}, {d:.2f} m from the UAV")
+          f"path index {label:>3s}, {d:.2f} m from the UAV")
 
-print(f"\nfastest index {sp_fast.path_index} <= shortest index {sp_short.path_index}: "
+print(f"\nfastest index {i_fast} <= shortest index {i_short}: "
       f"the fastest method always meets the ball no later along its path.")
 print("Cat & mouse ignores prediction entirely and chases the detection itself.")
 
@@ -67,8 +68,8 @@ try:
     g = region.indices
     ax.plot(path.positions[g, 0], path.positions[g, 2], ".", color="tab:green", ms=4, label="reachable region")
     ax.plot(*uav.position[[0, 2]], "k^", ms=10, label="UAV")
-    ax.plot(sp_short.target_position[0], sp_short.target_position[2], "rs", label="shortest-path choice")
-    ax.plot(sp_fast.target_position[0], sp_fast.target_position[2], "m*", ms=12, label="fastest-path choice")
+    ax.plot(*path.positions[i_short, [0, 2]], "rs", label="shortest-path choice")
+    ax.plot(*path.positions[i_fast, [0, 2]], "m*", ms=12, label="fastest-path choice")
     ax.set_xlabel("x [m]")
     ax.set_ylabel("z [m]")
     ax.set_title("Planning methods over one predicted throw (x-z view)")

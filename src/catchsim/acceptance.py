@@ -20,15 +20,15 @@ from .harness import (
     trace_csv,
 )
 from .physics import BallMotion, BallState, Environment, ProjectileParams, drag_accel, drag_coefficient, ground_truth
-from .planner import (
-    Setpoint,
-    UavLimits,
-    PlanMethod,
-    plan_fastest,
-    plan_shortest,
-    reachable_region,
+from .planner import Setpoint, UavLimits, plan_fastest, plan_shortest, reachable_region
+from .predictor import (
+    ObservationQueue,
+    PredictedPath,
+    PropagationStop,
+    estimate_velocity,
+    predict_path,
+    push_observation,
 )
-from .predictor import ObservationQueue, PropagationStop, estimate_velocity, predict_path, push_observation
 from .sensor import Observation
 from .vehicle import fly, hover_init, wrap_angle
 
@@ -201,8 +201,6 @@ def check_invariant_battery() -> CriterionResult:
         failures.append("fifo-window")
 
     # reachable-region margins and fastest <= shortest
-    from .predictor import PredictedPath
-
     uav = hover_init(2.0)
     limits = UavLimits()
     for _ in range(50):
@@ -214,14 +212,14 @@ def check_invariant_battery() -> CriterionResult:
         if not np.all(region.margins >= 0.0):
             failures.append("region-margins")
             break
-        if plan_fastest(path, region, uav).path_index > plan_shortest(path, region, uav).path_index:
+        if plan_fastest(region) > plan_shortest(region):
             failures.append("fastest-vs-shortest")
             break
 
     # yaw slew bound
     state = hover_init(2.0)
     for _ in range(100):
-        sp = Setpoint(np.array([0.0, 0.0, 2.0]), float(rng.uniform(-np.pi, np.pi)), PlanMethod.CAT_MOUSE)
+        sp = Setpoint(np.array([0.0, 0.0, 2.0]), float(rng.uniform(-np.pi, np.pi)))
         new, _ = fly(state, sp, limits, 0.01, 1)
         if abs(wrap_angle(new.yaw - state.yaw)) > limits.max_yaw_rate * 0.01 + 1e-15:
             failures.append("yaw-slew")

@@ -14,7 +14,6 @@ plane and scores predicted vs actual plane crossings.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -390,8 +389,8 @@ def _check_throw_geometry(cfg: ScenarioConfig):
     region = reachable_region(path, 0.0, uav0, cfg.limits)
     if len(region) == 0:
         raise ConfigError(f"scenario {cfg.scenario_id.value}: no predicted point is reachable from hover")
-    nearest = plan_shortest(path, region, uav0).path_index
-    earliest = int(region.indices[0])
+    nearest = plan_shortest(region)
+    earliest = plan_fastest(region)
     if cfg.scenario_id is ScenarioId.D and nearest < len(path) / 2:
         raise ConfigError(
             "scenario D: the nearest reachable predicted point must lie in the "
@@ -541,7 +540,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     uav = hover_init(cfg.start_elevation)
     queue = ObservationQueue(capacity=cfg.queue_capacity)
-    sp = Setpoint(uav.position.copy(), 0.0, cfg.method, None)
+    sp = Setpoint(uav.position.copy(), 0.0)
 
     records: list[MetricsRecord] = []
     i = 0  # index of the ball's current truth sample
@@ -684,38 +683,24 @@ def _predict(cfg, queue, stop):
 
 def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     """Shortest/fastest planning with cat & mouse fallback and setpoint hysteresis."""
-    proposal = None
-    predicted_point = None
-    chosen_idx = None
-    shortest_idx = None
-    region = None
     path = _predict(cfg, queue, stop)
-    if path is not None:
-        region = reachable_region(path, now, uav, cfg.limits)
-        if len(region) > 0:
-            sp_short = plan_shortest(path, region, uav)
-            if cfg.method is PlanMethod.FASTEST_PATH:
-                proposal = plan_fastest(path, region, uav)
-            else:
-                proposal = sp_short
-            shortest_idx = sp_short.path_index
-            chosen_idx = proposal.path_index
-            predicted_point = proposal.target_position.copy()
-
-    if proposal is None:
+    region = None if path is None else reachable_region(path, now, uav, cfg.limits)
+    if region is None or len(region) == 0:
         # empty region (or no predicted path): chase the detection so the
-        # ball stays in frame for later re-prediction
-        sp = plan_cat_mouse(obs, uav, True, cfg.edge_threshold)
-    else:
-        if sp.path_index is None:
-            sp = proposal
-        else:
-            step = proposal.target_position - sp.target_position
-            moved = math.sqrt(step.dot(step)) > cfg.hysteresis_dist  # np.linalg.norm(step), bit for bit
-            if moved or _old_target_left_region(sp, path, region):
-                sp = proposal
+        # ball stays in frame for later re-prediction; its yaw is yaw_command's
+        return plan_cat_mouse(obs, uav, True, cfg.edge_threshold), None, None, None
+
+    shortest_idx = plan_shortest(region)
+    chosen_idx = plan_fastest(region) if cfg.method is PlanMethod.FASTEST_PATH else shortest_idx
+    predicted_point = path.positions[chosen_idx].copy()
+    target, index = predicted_point, chosen_idx
+    if sp.path_index is not None:
+        step = predicted_point - sp.target_position
+        moved = math.sqrt(step.dot(step)) > cfg.hysteresis_dist  # np.linalg.norm(step), bit for bit
+        if not moved and not _old_target_left_region(sp, path, region):
+            target, index = sp.target_position, sp.path_index
     # methods 2 & 3 always yaw to keep the object in view
-    sp = dataclasses.replace(sp, target_yaw=yaw_command(obs, uav, cfg.edge_threshold))
+    sp = Setpoint(target, yaw_command(obs, uav, cfg.edge_threshold), index)
     return sp, predicted_point, chosen_idx, shortest_idx
 
 
@@ -731,7 +716,6 @@ def _plan_planar(cfg, queue, obs, uav, stop):
     sp = Setpoint(
         target_position=project_to_plane(target, cfg.plane_point, cfg.plane_normal),
         target_yaw=yaw_command(obs, uav, cfg.edge_threshold),
-        source_method=PlanMethod.SHORTEST_PATH,
         path_index=None,
     )
     return sp, predicted_point

@@ -4,9 +4,13 @@ Three methods over the predicted object path:
 
 * cat & mouse — chase the latest detection directly; no prediction.
 * shortest path — of the path samples the UAV can reach before the
-  object does (the reachable region), fly to the one nearest the UAV.
-* fastest path — of the reachable region, fly to the sample earliest
+  object does (the reachable region), pick the one nearest the UAV.
+* fastest path — of the reachable region, pick the sample earliest
   along the object's path.
+
+Cat & mouse returns a setpoint; the shortest and fastest planners return
+only the chosen path index. The harness turns that index into the
+frame's one setpoint and owns the hysteresis that may hold the old one.
 
 Plus the yaw law that re-centres the object when it drifts too close to
 the FOV edge, and the trapezoidal time-to-reach estimate behind the
@@ -51,11 +55,10 @@ class UavLimits:
 
 @dataclass
 class Setpoint:
-    """Commanded target position and heading, tagged with its origin."""
+    """Commanded target position and heading."""
 
     target_position: np.ndarray  # m
     target_yaw: float  # rad, in (-pi, pi]
-    source_method: PlanMethod
     path_index: int | None = None  # which predicted sample was chosen, if any
 
     def __post_init__(self):
@@ -126,32 +129,19 @@ def plan_cat_mouse(obs: Observation, uav: UavState, yaw_enabled: bool, yaw_thres
     return Setpoint(
         target_position=np.asarray(obs.position, dtype=float).copy(),
         target_yaw=target_yaw,
-        source_method=PlanMethod.CAT_MOUSE,
         path_index=None,
     )
 
 
-def plan_shortest(path: PredictedPath, region: ReachableRegion, uav: UavState) -> Setpoint:
-    """Reachable path sample nearest the UAV, from a non-empty region; ties break to the smaller index.
+def plan_shortest(region: ReachableRegion) -> int:
+    """Index of the reachable path sample nearest the UAV, from a non-empty region.
 
     The distances are the region's own, taken from the UAV it was computed
-    for; `uav` supplies only the yaw.
+    for; ties break to the smaller index.
     """
-    idx = int(region.indices[region.distances.argmin()])  # argmin returns the first minimum
-    return Setpoint(
-        target_position=path.positions[idx].copy(),
-        target_yaw=wrap_angle(uav.yaw),
-        source_method=PlanMethod.SHORTEST_PATH,
-        path_index=idx,
-    )
+    return int(region.indices[region.distances.argmin()])  # argmin returns the first minimum
 
 
-def plan_fastest(path: PredictedPath, region: ReachableRegion, uav: UavState) -> Setpoint:
-    """Reachable path sample earliest along the object's path, from a non-empty region."""
-    idx = int(region.indices[0])
-    return Setpoint(
-        target_position=path.positions[idx].copy(),
-        target_yaw=wrap_angle(uav.yaw),
-        source_method=PlanMethod.FASTEST_PATH,
-        path_index=idx,
-    )
+def plan_fastest(region: ReachableRegion) -> int:
+    """Index of the reachable path sample earliest along the object's path, from a non-empty region."""
+    return int(region.indices[0])

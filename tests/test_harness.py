@@ -494,6 +494,33 @@ class TestScenarioOutcomes:
             with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(BallState"):
                 run_scenario(config_from_dict(raw))
 
+    @pytest.mark.parametrize("sid, n_predicted, n_held, n_fallback", [("D", 27, 23, 1), ("E", 30, 11, 2)])
+    def test_predictive_frames_adopt_hold_or_fall_back(self, sid, n_predicted, n_held, n_fallback):
+        # each detection either adopts the chosen path row, holds the previous
+        # frame's target (the new choice moved no more than hysteresis_dist),
+        # or, without a prediction, chases the detection
+        cfg = bundled_config(sid)
+        result = run_scenario(cfg)
+        predicted = held = fallback = 0
+        prev = None
+        for r in result.records[:-1]:
+            sp = r.setpoint
+            if r.observation is None:
+                assert sp is prev
+            elif r.predicted_point is None:
+                fallback += 1
+                assert sp.path_index is None
+                assert np.array_equal(sp.target_position, r.observation.position)
+            else:
+                predicted += 1
+                if not (np.array_equal(sp.target_position, r.predicted_point) and sp.path_index == r.chosen_index):
+                    held += 1
+                    assert np.array_equal(sp.target_position, prev.target_position)
+                    assert prev.path_index is not None and sp.path_index == prev.path_index
+                    assert np.linalg.norm(r.predicted_point - prev.target_position) <= cfg.hysteresis_dist
+            prev = sp
+        assert (predicted, held, fallback) == (n_predicted, n_held, n_fallback)
+
     def test_unpredictable_frame_falls_back_to_cat_mouse(self):
         # a held ball is never integrated, but Re = v D / nu underflows in every frame's prediction
         raw = bundled_config("D").to_dict()
@@ -502,7 +529,8 @@ class TestScenarioOutcomes:
         result = run_scenario(config_from_dict(raw))
         assert result.intercepted
         assert all(r.predicted_point is None for r in result.records)
-        assert all(r.setpoint.source_method is PlanMethod.CAT_MOUSE for r in result.records)
+        assert all(r.setpoint.path_index is None for r in result.records)
+        assert all(np.array_equal(r.setpoint.target_position, r.observation.position) for r in result.records[:-1])
 
     @pytest.mark.parametrize("sigma", [1e80, 1e90, 1e100])
     @pytest.mark.parametrize("sid", ["D", "E", "planar2d"])

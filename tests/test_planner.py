@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchsim.planner import (
-    PlanMethod,
     ReachableRegion,
     UavLimits,
     plan_cat_mouse,
@@ -153,7 +152,7 @@ class TestRegionDistances:
         if len(region) == 0:
             return
         d = np.linalg.norm(path.positions[region.indices] - uav.position, axis=1)
-        assert plan_shortest(path, region, uav).path_index == int(region.indices[int(np.argmin(d))])
+        assert plan_shortest(region) == int(region.indices[int(np.argmin(d))])
 
 
 class TestPlanCatMouse:
@@ -161,7 +160,6 @@ class TestPlanCatMouse:
         obs = obs_with(0.0, 0.0, position=(4.0, 1.0, 2.0))
         sp = plan_cat_mouse(obs, hover_init(2.0), yaw_enabled=False)
         assert np.array_equal(sp.target_position, [4.0, 1.0, 2.0])
-        assert sp.source_method is PlanMethod.CAT_MOUSE
         assert sp.path_index is None
 
     def test_successive_observations_tracked(self):
@@ -184,30 +182,23 @@ class TestPlanShortestFastest:
     def test_single_index(self):
         path = path_from([[1, 0, 2], [2, 0, 2], [3, 0, 2]])
         uav = hover_init(2.0)
-        sp = plan_shortest(path, self.region_over(path, [2], uav), uav)
-        assert sp.path_index == 2
-        assert np.array_equal(sp.target_position, path.positions[2])
+        assert plan_shortest(self.region_over(path, [2], uav)) == 2
 
     def test_distance_table(self):
         # distances {4, 2, 3} over region {1, 2, 3} -> index 2
         path = path_from([[9, 0, 2], [4, 0, 2], [2, 0, 2], [3, 0, 2]])
         uav = hover_init(2.0)
-        sp = plan_shortest(path, self.region_over(path, [1, 2, 3], uav), uav)
-        assert sp.path_index == 2
-        assert sp.source_method is PlanMethod.SHORTEST_PATH
+        assert plan_shortest(self.region_over(path, [1, 2, 3], uav)) == 2
 
     def test_tie_breaks_to_smaller_index(self):
         path = path_from([[2, 0, 2], [0, 2, 4], [2, 0, 2]])
         uav = hover_init(2.0)
-        sp = plan_shortest(path, self.region_over(path, [0, 2], uav), uav)
-        assert sp.path_index == 0
+        assert plan_shortest(self.region_over(path, [0, 2], uav)) == 0
 
     def test_fastest_takes_first_region_index(self):
         path = path_from(np.tile([[3.0, 0.0, 2.0]], (10, 1)))
         uav = hover_init(2.0)
-        sp = plan_fastest(path, self.region_over(path, [3, 7, 9], uav), uav)
-        assert sp.path_index == 3
-        assert sp.source_method is PlanMethod.FASTEST_PATH
+        assert plan_fastest(self.region_over(path, [3, 7, 9], uav)) == 3
 
     def test_fastest_index_never_after_shortest(self):
         rng = np.random.default_rng(23)
@@ -218,17 +209,7 @@ class TestPlanShortestFastest:
             k = rng.integers(1, 8)
             indices = np.sort(rng.choice(20, size=k, replace=False))
             region = self.region_over(path, indices, uav)
-            assert plan_fastest(path, region, uav).path_index <= plan_shortest(path, region, uav).path_index
-
-    def test_setpoints_lie_on_path(self):
-        rng = np.random.default_rng(29)
-        uav = hover_init(2.0)
-        pts = rng.uniform(-3, 3, size=(15, 3))
-        path = path_from(pts)
-        region = self.region_over(path, [2, 5, 11], uav)
-        for planner in (plan_shortest, plan_fastest):
-            sp = planner(path, region, uav)
-            assert np.array_equal(sp.target_position, path.positions[sp.path_index])
+            assert plan_fastest(region) <= plan_shortest(region)
 
 
 class TestYawCommand:

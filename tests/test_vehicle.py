@@ -8,16 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchsim.planner import PlanMethod, Setpoint, UavLimits
+from catchsim.planner import Setpoint, UavLimits
 from catchsim.vehicle import UavState, fly, hover_init, step_uav, wrap_angle
 
 
 def setpoint(target, yaw=0.0):
-    return Setpoint(
-        target_position=np.asarray(target, dtype=float),
-        target_yaw=yaw,
-        source_method=PlanMethod.CAT_MOUSE,
-    )
+    return Setpoint(target_position=np.asarray(target, dtype=float), target_yaw=yaw)
 
 
 class TestHoverInit:
