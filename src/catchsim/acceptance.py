@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import (
+    ScenarioId,
     bundled_config,
     config_from_dict,
     final_prediction_error,
@@ -129,12 +130,12 @@ def check_planar2d() -> CriterionResult:
 def check_suite_shape() -> CriterionResult:
     details = []
     all_ok = True
-    for sid in ("A", "B", "C", "D", "E", "planar2d"):
+    for sid in ScenarioId:
         cfg = bundled_config(sid)
         result = run_scenario(cfg)
         ok, detail = scenario_expectation(cfg, result)
         all_ok = all_ok and ok
-        details.append(f"{sid}:{'ok' if ok else 'FAIL(' + detail + ')'}")
+        details.append(f"{sid.value}:{'ok' if ok else 'FAIL(' + detail + ')'}")
     return CriterionResult(
         5,
         "bundled suite shape: A/C/D/E intercept, B loses the ball, D error <= 0.7 m, "

@@ -2,7 +2,9 @@
 
 Subcommands:
   run    - execute one scenario config, writing <id>_trace.csv and
-           <id>_summary.json into the output directory.
+           <id>_summary.json into the output directory. The scenario id
+           fixes the planning method and yaw; --method overrides the
+           method for this run only (planar2d takes only shortest).
   suite  - run the six bundled scenarios (or a directory of configs) and
            write a suite_report.json; exit 0 only if every scenario meets
            its expected outcome shape. Its --seed takes run's override
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
+    ScenarioId,
     config_from_dict,
     final_prediction_error,
     load_raw_config,
@@ -32,36 +35,32 @@ from .harness import (
     scenario_expectation,
     write_outputs,
 )
+from .planner import PlanMethod
 
 _METHOD_ALIASES = {
-    "cat_mouse": "cat_mouse",
-    "shortest": "shortest_path",
-    "fastest": "fastest_path",
+    "cat_mouse": PlanMethod.CAT_MOUSE,
+    "shortest": PlanMethod.SHORTEST_PATH,
+    "fastest": PlanMethod.FASTEST_PATH,
 }
 
-SUITE_ORDER = ["A", "B", "C", "D", "E", "planar2d"]
+SUITE_ORDER = [sid.value for sid in ScenarioId]
 
 
-def _apply_overrides(raw, args) -> tuple[dict, bool]:
-    """Apply --seed / --method / --no-tilt-coupling onto a raw config, before it is validated;
+def _apply_overrides(raw, args):
+    """Apply --seed / --no-tilt-coupling onto a raw config, before it is validated;
     a root or planner group that is not an object is left for config_from_dict to report."""
-    planner = {}
-    if getattr(args, "method", None) is not None:
-        planner["method"] = _METHOD_ALIASES[args.method]
-    if getattr(args, "no_tilt_coupling", False):
-        planner["tilt_coupling"] = False
     if isinstance(raw, dict):
         if getattr(args, "seed", None) is not None:
             raw["seed"] = args.seed
-        if planner and isinstance(raw.setdefault("planner", {}), dict):
-            raw["planner"].update(planner)
-    return raw, "method" in planner
+        if getattr(args, "no_tilt_coupling", False) and isinstance(raw.setdefault("planner", {}), dict):
+            raw["planner"]["tilt_coupling"] = False
+    return raw
 
 
 def cmd_run(args) -> int:
+    method = None if args.method is None else _METHOD_ALIASES[args.method]
     try:
-        raw, override = _apply_overrides(load_raw_config(Path(args.config)), args)
-        cfg = config_from_dict(raw, allow_method_override=override)
+        cfg = config_from_dict(_apply_overrides(load_raw_config(Path(args.config)), args), method)
         result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -83,8 +82,7 @@ def cmd_suite(args) -> int:
     crashed = False
     for sid in SUITE_ORDER:
         try:
-            raw, _ = _apply_overrides(load_raw_config(config_dir / f"{sid}.json"), args)
-            cfg = config_from_dict(raw)
+            cfg = config_from_dict(_apply_overrides(load_raw_config(config_dir / f"{sid}.json"), args))
             result = run_scenario(cfg)
             write_outputs(result, out_dir, sid)
             ok, detail = scenario_expectation(cfg, result)
@@ -142,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=sorted(_METHOD_ALIASES),
         default=None,
-        help="override the planning method (bypasses the scenario's canonical wiring)",
+        help="override the planning method the scenario id fixes (planar2d takes only shortest)",
     )
     p_run.add_argument(
         "--no-tilt-coupling", action="store_true", help="disable acceleration-induced camera tilt"

@@ -44,6 +44,7 @@ from .planner import (
     plan_fastest,
     plan_shortest,
     reachable_region,
+    row_distances,
     yaw_command,
 )
 from .predictor import (
@@ -91,7 +92,7 @@ class ScenarioId(str, Enum):
     PLANAR2D = "planar2d"
 
 
-# Canonical method / yaw wiring per scenario (yaw is unconstrained where absent).
+# Each scenario's planning method; only the CLI's --method overrides it.
 _SCENARIO_METHOD = {
     ScenarioId.A: PlanMethod.CAT_MOUSE,
     ScenarioId.B: PlanMethod.CAT_MOUSE,
@@ -99,11 +100,6 @@ _SCENARIO_METHOD = {
     ScenarioId.D: PlanMethod.SHORTEST_PATH,
     ScenarioId.E: PlanMethod.FASTEST_PATH,
     ScenarioId.PLANAR2D: PlanMethod.SHORTEST_PATH,
-}
-_SCENARIO_YAW = {
-    ScenarioId.A: False,
-    ScenarioId.B: False,
-    ScenarioId.C: True,
 }
 
 
@@ -125,8 +121,7 @@ class ScenarioConfig:
     kd: float  # s^-1
     start_elevation: float  # m
     height_comp_gain: float  # m/rad
-    method: PlanMethod
-    yaw_enabled: bool
+    method: PlanMethod  # the scenario's, or the CLI's --method; not a schema field
     tilt_coupling: bool
     edge_threshold: float
     hysteresis_dist: float  # m
@@ -140,7 +135,9 @@ class ScenarioConfig:
     plane_normal: np.ndarray | None
 
     def to_dict(self) -> dict:
-        """JSON-ready dict with every default materialized; round-trips via config_from_dict."""
+        """JSON-ready dict of every schema field, defaults materialized; round-trips
+        via config_from_dict. The method is not a schema field: the scenario id fixes
+        it, so a --method override is not part of the dict."""
         d: dict = {}
         for path, attr in _FIELDS:
             value = reduce(getattr, attr, self)
@@ -262,14 +259,14 @@ def _check_leaf(value, node: dict, path: str):
     raise AssertionError(f"schema bug: unknown node type {kind!r} at {path}")
 
 
-def config_from_dict(raw: dict, allow_method_override: bool = False) -> ScenarioConfig:
+def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioConfig:
     """Validate a raw JSON dict against the bundled schema and build a config.
 
     One schema walk checks and types each leaf once; an omitted one gets
     the schema's default, the only declaration of it. Unknown fields are
-    rejected. The scenario's canonical planning method and yaw wiring are
-    enforced unless allow_method_override is set (used by the CLI --method
-    flag); planar2d's method is enforced even then.
+    rejected. The scenario id fixes the planning method and whether cat &
+    mouse yaws; `method` (the CLI's --method) overrides the method, except
+    in planar2d, whose plane-crossing planner takes only shortest_path.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -278,23 +275,9 @@ def config_from_dict(raw: dict, allow_method_override: bool = False) -> Scenario
     sid = kwargs["scenario_id"] = ScenarioId(kwargs["scenario_id"])
     kwargs["ball_motion"] = BallMotion(kwargs["ball_motion"])
 
-    method = kwargs["method"]
-    method = PlanMethod(method) if method is not None else _SCENARIO_METHOD[sid]
-    yaw_enabled = kwargs["yaw_enabled"]
-    yaw_enabled = yaw_enabled if yaw_enabled is not None else _SCENARIO_YAW.get(sid, True)
-    # planar2d's plane-crossing planner reads no method, so it has none to override
-    if not allow_method_override or sid is ScenarioId.PLANAR2D:
-        if method is not _SCENARIO_METHOD[sid]:
-            raise ConfigError(
-                f"planner.method: scenario {sid.value} requires "
-                f"'{_SCENARIO_METHOD[sid].value}', got '{method.value}'"
-            )
-    if not allow_method_override:
-        if sid in _SCENARIO_YAW and yaw_enabled is not _SCENARIO_YAW[sid]:
-            raise ConfigError(
-                f"planner.yaw_enabled: scenario {sid.value} requires {_SCENARIO_YAW[sid]}"
-            )
-    kwargs["method"], kwargs["yaw_enabled"] = method, yaw_enabled
+    method = kwargs["method"] = _SCENARIO_METHOD[sid] if method is None else PlanMethod(method)
+    if sid is ScenarioId.PLANAR2D and method is not PlanMethod.SHORTEST_PATH:
+        raise ConfigError(f"planner.method: scenario planar2d requires 'shortest_path', got '{method.value}'")
 
     point, normal = kwargs["plane_point"], kwargs["plane_normal"]
     if sid is ScenarioId.PLANAR2D:
@@ -348,9 +331,11 @@ def _validate_semantics(cfg: ScenarioConfig):
     # the frame gate rounds time * frame_rate to a frame number
     if not math.isfinite((cfg.max_sim_time + cfg.physics_dt) * cfg.camera.frame_rate):
         raise ConfigError("camera.frame_rate: the frames in max_sim_time are past the float range")
-    if cfg.method is not PlanMethod.CAT_MOUSE and cfg.max_horizon / cfg.t_step > MAX_PREDICTED_STEPS:
+    # the throw check propagates one path at load, whatever the method
+    throw = cfg.scenario_id in (ScenarioId.D, ScenarioId.E) and cfg.ball_motion is BallMotion.BALLISTIC
+    if (throw or cfg.method is not PlanMethod.CAT_MOUSE) and cfg.max_horizon / cfg.t_step > MAX_PREDICTED_STEPS:
         raise ConfigError(f"prediction.t_step: max_horizon / t_step must be <= {MAX_PREDICTED_STEPS}")
-    if cfg.scenario_id in (ScenarioId.D, ScenarioId.E) and cfg.ball_motion is BallMotion.BALLISTIC:
+    if throw:
         _check_throw_geometry(cfg)
 
 
@@ -410,9 +395,9 @@ def load_raw_config(path: Path) -> dict:
         raise ConfigError(f"config file {path}: not found, unreadable or not valid JSON ({exc})") from exc
 
 
-def load_config(path: str | Path, allow_method_override: bool = False) -> ScenarioConfig:
+def load_config(path: str | Path) -> ScenarioConfig:
     """Load and validate a scenario config JSON file."""
-    return config_from_dict(load_raw_config(Path(path)), allow_method_override=allow_method_override)
+    return config_from_dict(load_raw_config(Path(path)))
 
 
 def bundled_config(scenario: str | ScenarioId) -> ScenarioConfig:
@@ -502,12 +487,9 @@ def final_prediction_error(result: ScenarioResult) -> float | None:
 
 def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: ReachableRegion) -> bool:
     """Has the previous path-based target dropped out of the (new) green region?"""
-    # an overflowed distance is +inf, far from the old target; not a warning
-    with np.errstate(over="ignore"):
-        diff = path.positions - sp.target_position
-        # the distances as np.linalg.norm(diff, axis=1) computes them: the argmin
-        # breaks ties between rows on the rounded distance, not on its square
-        j = int(np.sqrt(np.add.reduce(diff * diff, axis=1)).argmin())
+    # the argmin breaks ties between rows on the rounded distance, not on its square;
+    # an overflowed distance is +inf, far from the old target
+    j = int(row_distances(path.positions, sp.target_position).argmin())
     k = int(np.searchsorted(region.indices, j))
     return k >= len(region.indices) or int(region.indices[k]) != j
 
@@ -527,6 +509,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     stop = PropagationStop(cfg.max_horizon, cfg.ground_height)
     predictive = cfg.method in (PlanMethod.SHORTEST_PATH, PlanMethod.FASTEST_PATH)
     planar = cfg.scenario_id is ScenarioId.PLANAR2D
+    # cat & mouse holds its heading in A and B, and yaws to keep the ball in view elsewhere
+    yaw_enabled = cfg.scenario_id not in (ScenarioId.A, ScenarioId.B)
 
     plane = (cfg.plane_point, cfg.plane_normal) if planar else None
     n_ticks = _n_ticks(cfg)
@@ -570,7 +554,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                     cfg, queue, obs, uav, sp, stop, t
                 )
             else:
-                sp = plan_cat_mouse(obs, uav, cfg.yaw_enabled, cfg.edge_threshold)
+                sp = plan_cat_mouse(obs, uav, yaw_enabled, cfg.edge_threshold)
         records.append(
             MetricsRecord(
                 time=t,

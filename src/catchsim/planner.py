@@ -95,17 +95,21 @@ def _trapezoid_time(d, limits: UavLimits) -> np.ndarray:
         return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
 
 
+def row_distances(positions: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Distance from `point` to each row of `positions`, as np.linalg.norm(positions - point,
+    axis=1) computes it, bit for bit. A distance past the float range is +inf, not a warning."""
+    with np.errstate(over="ignore"):
+        diff = positions - point
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
 def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: UavLimits) -> ReachableRegion:
     """Indices i whose trapezoidal time-to-reach is <= sample i's arrival time - now.
 
-    Sample times are absolute, so the inclusion test only needs `now`.
+    Sample times are absolute, so the inclusion test only needs `now`. An
+    overflowed distance reads as unreachable (see _trapezoid_time).
     """
-    # a sample near the float range overflows its distance to +inf, which
-    # reads as unreachable (see _trapezoid_time); not a warning
-    with np.errstate(over="ignore"):
-        diff = path.positions - uav.position
-        # the row norm as np.linalg.norm(diff, axis=1) computes it, bit for bit
-        d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    d = row_distances(path.positions, uav.position)
     margins = (path.times - now) - _trapezoid_time(d, limits)
     mask = margins >= 0.0
     return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask], distances=d[mask])

@@ -33,13 +33,12 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass
 class UavState:
-    """Vehicle pose at a given time. Yaw is CCW about +z; pitch is accel-induced tilt."""
+    """Vehicle pose. Yaw is CCW about +z; pitch is accel-induced tilt."""
 
     position: np.ndarray  # m
     velocity: np.ndarray  # m/s
     yaw: float = 0.0  # rad, in (-pi, pi]
     pitch: float = 0.0  # rad, >= 0, added to the camera mount pitch
-    time: float = 0.0  # s
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -55,7 +54,6 @@ def hover_init(elevation: float) -> UavState:
         velocity=np.zeros(3),
         yaw=0.0,
         pitch=0.0,
-        time=0.0,
     )
 
 
@@ -129,7 +127,7 @@ def fly(
     px, py, pz = (float(c) for c in state.position)
     vx, vy, vz = (float(c) for c in state.velocity)
     tx, ty, tz_sp = (float(c) for c in sp.target_position)
-    yaw, pitch, time = state.yaw, state.pitch, state.time
+    yaw, pitch = state.yaw, state.pitch
     max_accel, max_speed = limits.max_accel, limits.max_speed
     max_dyaw = limits.max_yaw_rate * dt
     target_yaw = sp.target_yaw
@@ -192,7 +190,6 @@ def fly(
 
         if pitch_each_tick:
             pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
-        time += dt
 
         if plane is not None:
             # numpy's dot, not a float rewrite: it rounds differently
@@ -205,5 +202,5 @@ def fly(
 
     if n > 0 and not pitch_each_tick:
         pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
-    final = UavState(np.array((px, py, pz)), np.array((vx, vy, vz)), yaw, pitch, time)
+    final = UavState(np.array((px, py, pz)), np.array((vx, vy, vz)), yaw, pitch)
     return final, np.frombuffer(positions).reshape(n, 3)

@@ -159,6 +159,16 @@ class TestRun:
         assert "planner.method" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", "shortest"]) == 0
 
+    @pytest.mark.parametrize("field, value", [("method", "shortest_path"), ("yaw_enabled", True)])
+    def test_config_that_sets_method_or_yaw_exits_2(self, field, value, tmp_path, capsys):
+        # the scenario id fixes both; only --method overrides the method
+        raw = bundled_raw("C")
+        raw["planner"] = {field: value}
+        cfg = write_cfg(tmp_path, "C.json", raw)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: unknown field 'planner.{field}'\n"
+        assert not (tmp_path / "r").exists()
+
     def test_no_tilt_coupling_flag(self, tmp_path):
         cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "nt"), "--no-tilt-coupling"]) == 0

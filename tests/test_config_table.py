@@ -70,7 +70,7 @@ def edited_configs(draw):
             node = node.setdefault(key, {})
         node[path[-1]] = draw(leaf_values(LEAVES[path]))
     try:
-        return config_from_dict(raw, allow_method_override=True)
+        return config_from_dict(raw)
     except ConfigError:
         reject()
 
@@ -80,7 +80,7 @@ def edited_configs(draw):
 def test_to_dict_is_a_fixed_point(cfg):
     d = cfg.to_dict()
     assert json.loads(json.dumps(d)) == d
-    assert config_from_dict(d, allow_method_override=True).to_dict() == d
+    assert config_from_dict(d).to_dict() == d
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,7 +7,10 @@ sha256 each over the concatenated outputs: D and E over noise seeds
 the control loop's timing or the vehicle recursion (height
 compensation, tilt coupling off, a frame rate whose period is not a
 whole number of ticks, a physics step that does not divide the frame
-period, and a run shorter than two frames). Any change to the
+period, and a run shorter than two frames). A third corpus pins the
+CLI's `--method` override: bundled A-E under each of the three
+planning methods, plus planar2d under its only one, shortest path,
+each passed to `config_from_dict` as `method=`. Any change to the
 physics, sensor, predictor, planner, vehicle, engine or output format
 that moves a single printed bit fails here; a deliberate change must
 re-record the hashes and say why.
@@ -25,6 +28,7 @@ from importlib import resources
 import pytest
 
 from catchsim.harness import bundled_config, config_from_dict, run_scenario, summary_dict, trace_csv
+from catchsim.planner import PlanMethod
 
 GOLDEN = {
     "A": (
@@ -63,6 +67,10 @@ EDITS = (
     (("physics_dt",), 0.0007),
     (("max_sim_time",), 0.05),
 )
+METHODS_SHA256 = "54335e6ceefa7f5ba1f56f8b7b9f69d2ebfd3b7f76ff731b02a2ea8762494585"
+METHOD_RUNS = [(sid, method) for sid in ("A", "B", "C", "D", "E") for method in PlanMethod] + [
+    ("planar2d", PlanMethod.SHORTEST_PATH)
+]
 
 
 def _sha256(text: str) -> str:
@@ -73,8 +81,8 @@ def _bundled_raw(sid: str) -> dict:
     return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
 
 
-def _outputs(raw: dict) -> bytes:
-    result = run_scenario(config_from_dict(raw))
+def _outputs(raw: dict, method: PlanMethod | None = None) -> bytes:
+    result = run_scenario(config_from_dict(raw, method=method))
     return (trace_csv(result) + json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -106,3 +114,10 @@ def test_edited_configs_are_byte_identical():
             node[path[-1]] = value
             h.update(_outputs(raw))
     assert h.hexdigest() == EDITED_SHA256
+
+
+def test_method_overrides_are_byte_identical():
+    h = hashlib.sha256()
+    for sid, method in METHOD_RUNS:
+        h.update(_outputs(_bundled_raw(sid), method))
+    assert h.hexdigest() == METHODS_SHA256

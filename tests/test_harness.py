@@ -114,14 +114,17 @@ class TestConfigValidation:
         assert cfg.limits.intercept_radius == 0.35
         assert cfg.queue_capacity == 5
         assert cfg.method is PlanMethod.CAT_MOUSE
-        assert cfg.yaw_enabled is False
 
     def test_scenario_method_mapping_enforced(self):
-        raw = minimal_a(planner={"method": "shortest_path"})
-        with pytest.raises(ConfigError, match="cat_mouse"):
-            config_from_dict(raw)
-        # explicit override relaxes the check
-        assert config_from_dict(raw, allow_method_override=True).method is PlanMethod.SHORTEST_PATH
+        # the id fixes the method: a file cannot set one, the method argument overrides it
+        with pytest.raises(ConfigError, match="unknown field 'planner.method'"):
+            config_from_dict(minimal_a(planner={"method": "shortest_path"}))
+        assert config_from_dict(minimal_a(), method=PlanMethod.SHORTEST_PATH).method is PlanMethod.SHORTEST_PATH
+        methods = {sid: bundled_config(sid).method.value for sid in ("A", "B", "C", "D", "E", "planar2d")}
+        assert methods == {
+            "A": "cat_mouse", "B": "cat_mouse", "C": "cat_mouse",
+            "D": "shortest_path", "E": "fastest_path", "planar2d": "shortest_path",
+        }
 
     def test_scenario_yaw_mapping_enforced(self):
         raw = {
@@ -130,8 +133,16 @@ class TestConfigValidation:
             "ball": {"position": [4, 1, 2], "velocity": [0, -1, 0], "motion": "linear"},
             "planner": {"yaw_enabled": False},
         }
-        with pytest.raises(ConfigError, match="yaw_enabled"):
+        with pytest.raises(ConfigError, match="unknown field 'planner.yaw_enabled'"):
             config_from_dict(raw)
+        # the id fixes the yaw: B holds its heading where C, the same config, turns to the ball
+        del raw["planner"]
+        yaws = {}
+        for sid in ("B", "C"):
+            result = run_scenario(config_from_dict({**raw, "scenario_id": sid}))
+            yaws[sid] = {rec.setpoint.target_yaw for rec in result.records}
+        assert yaws["B"] == {0.0}
+        assert len(yaws["C"]) > 1
 
     def test_plane_only_for_planar2d(self):
         raw = minimal_a(plane={"point": [0, 0, 2], "normal": [1, 0, 0]})
@@ -219,6 +230,16 @@ class TestConfigValidation:
         raw["prediction"]["t_step"] = raw["prediction"]["max_horizon"] / MAX_PREDICTED_STEPS
         config_from_dict(raw)
 
+    @pytest.mark.parametrize("sid", ["D", "E"])
+    def test_unbounded_throw_check_rejected_at_load_under_cat_mouse(self, sid):
+        # cat & mouse predicts no path per frame, but the throw check still propagates one at load
+        raw = bundled_config(sid).to_dict()
+        raw["prediction"]["t_step"] = raw["prediction"]["max_horizon"] / (1.5 * MAX_PREDICTED_STEPS)
+        with pytest.raises(ConfigError, match="prediction.t_step"):
+            config_from_dict(raw, method=PlanMethod.CAT_MOUSE)
+        raw["prediction"]["t_step"] = raw["prediction"]["max_horizon"] / MAX_PREDICTED_STEPS
+        assert config_from_dict(raw, method=PlanMethod.CAT_MOUSE).method is PlanMethod.CAT_MOUSE
+
     def test_overflowing_reference_area_rejected_at_load(self):
         raw = bundled_config("A").to_dict()
         del raw["projectile"]["reference_area"]  # so it is derived from the diameter
@@ -270,11 +291,10 @@ class TestConfigValidation:
 
     def test_planar2d_method_cannot_be_overridden(self):
         raw = bundled_config("planar2d").to_dict()
-        assert config_from_dict(raw, allow_method_override=True).method is PlanMethod.SHORTEST_PATH
-        for method in ("cat_mouse", "fastest_path"):
-            raw["planner"]["method"] = method
+        assert config_from_dict(raw, method=PlanMethod.SHORTEST_PATH).method is PlanMethod.SHORTEST_PATH
+        for method in (PlanMethod.CAT_MOUSE, PlanMethod.FASTEST_PATH):
             with pytest.raises(ConfigError, match="planner.method"):
-                config_from_dict(raw, allow_method_override=True)
+                config_from_dict(raw, method=method)
 
     def test_bundled_configs_load(self):
         for sid in ("A", "B", "C", "D", "E", "planar2d"):

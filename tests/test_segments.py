@@ -62,7 +62,7 @@ def per_tick(cfg, result) -> dict:
             p0, n_hat = cfg.plane_point, cfg.plane_normal
             pos = uav.position - float((uav.position - p0) @ n_hat) * n_hat
             vel = uav.velocity - float(uav.velocity @ n_hat) * n_hat
-            uav = UavState(pos, vel, uav.yaw, uav.pitch, uav.time)
+            uav = UavState(pos, vel, uav.yaw, uav.pitch)
         i = k + 1
         d = float(np.linalg.norm(uav.position - truth[i]))
         distances.append(d)

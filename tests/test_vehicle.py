@@ -27,7 +27,7 @@ class TestHoverInit:
     def test_state_invariants(self):
         uav = hover_init(2.0)
         assert np.array_equal(uav.velocity, np.zeros(3))
-        assert uav.yaw == 0.0 and uav.pitch == 0.0 and uav.time == 0.0
+        assert uav.yaw == 0.0 and uav.pitch == 0.0
         assert -math.pi < uav.yaw <= math.pi
 
     def test_rejects_nonpositive_elevation(self):
@@ -127,7 +127,7 @@ class TestStepUav:
 
 
 def bits(state: UavState) -> bytes:
-    return np.array([*state.position, *state.velocity, state.yaw, state.pitch, state.time]).tobytes()
+    return np.array([*state.position, *state.velocity, state.yaw, state.pitch]).tobytes()
 
 
 coord = st.floats(-10.0, 10.0)
@@ -140,7 +140,7 @@ def settled_yaw_example(height_comp_gain, tilt_coupling):
     point of the slew: wrap_angle(0.1) is 0.10000000000000009."""
     return example(
         position=np.array([0.0, 0.0, 2.0]), velocity=np.array([0.5, -0.2, 0.0]),
-        yaw=0.1, pitch=0.2, time=0.0, target=np.array([3.0, 1.0, 2.5]), target_yaw=0.1,
+        yaw=0.1, pitch=0.2, target=np.array([3.0, 1.0, 2.5]), target_yaw=0.1,
         limits=UavLimits(), dt=0.01, n=20, tilt_coupling=tilt_coupling, gains=(4.0, 3.0),
         height_comp_gain=height_comp_gain, plane=None,
     )
@@ -153,7 +153,6 @@ class TestFly:
         velocity=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3).map(np.array),
         yaw=st.floats(-math.pi, math.pi),
         pitch=st.floats(0.0, 1.5),
-        time=st.floats(0.0, 10.0),
         target=vec3,
         target_yaw=st.one_of(st.floats(-math.pi, math.pi), st.none()),  # None: the start yaw
         limits=st.builds(
@@ -174,14 +173,14 @@ class TestFly:
     @settled_yaw_example(0.5, True)
     @settled_yaw_example(0.5, False)
     def test_equals_chained_steps_bit_for_bit(
-        self, position, velocity, yaw, pitch, time, target, target_yaw, limits, dt, n,
+        self, position, velocity, yaw, pitch, target, target_yaw, limits, dt, n,
         tilt_coupling, gains, height_comp_gain, plane,
     ):
         # step_uav is fly for one tick, which always slews and sets the pitch,
         # so chained steps check fly's settled yaw and once-per-segment pitch
         if target_yaw is None:
             target_yaw = yaw
-        state = UavState(position, velocity, yaw, pitch, time)
+        state = UavState(position, velocity, yaw, pitch)
         sp = setpoint(target, target_yaw)
         kp, kd = gains
         final, path = fly(state, sp, limits, dt, n, tilt_coupling, kp, kd, 9.81, height_comp_gain, plane)
@@ -193,7 +192,7 @@ class TestFly:
                 p0, n_hat = plane
                 pos = state.position - float((state.position - p0) @ n_hat) * n_hat
                 vel = state.velocity - float(state.velocity @ n_hat) * n_hat
-                state = UavState(pos, vel, state.yaw, state.pitch, state.time)
+                state = UavState(pos, vel, state.yaw, state.pitch)
             expected.append(state.position)
         # and the slew written out, as an independent reference for the yaw
         slewed, max_dyaw = yaw, limits.max_yaw_rate * dt
@@ -211,11 +210,6 @@ class TestFly:
         uav = UavState(np.array([0.0, 0.0, 2.0]), np.zeros(3), yaw=0.1)
         final, _ = fly(uav, setpoint([0.0, 0.0, 2.0], yaw=0.1), UavLimits(), 0.01, 5)
         assert final.yaw == wrap_angle(0.1)
-
-    def test_time_advances_by_dt_per_step(self):
-        uav = UavState(np.array([0.0, 0.0, 2.0]), np.zeros(3), time=0.5)
-        final, _ = fly(uav, setpoint([1.0, 0.0, 2.0]), UavLimits(), 0.01, 3)
-        assert final.time == ((0.5 + 0.01) + 0.01) + 0.01
 
     def test_zero_steps(self):
         uav = hover_init(2.0)
