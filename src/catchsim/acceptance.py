@@ -206,7 +206,7 @@ def check_invariant_battery() -> CriterionResult:
     limits = UavLimits()
     for _ in range(50):
         pts = rng.uniform([-4, -4, 0], [4, 4, 4], size=(25, 3))
-        path = PredictedPath(positions=pts, times=0.05 * np.arange(25), t_step=0.05)
+        path = PredictedPath(positions=pts, times=0.05 * np.arange(25))
         region = reachable_region(path, 0.0, uav, limits)
         if len(region) == 0:
             continue

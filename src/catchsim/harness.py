@@ -411,18 +411,23 @@ def bundled_config(scenario: str | ScenarioId) -> ScenarioConfig:
 
 @dataclass
 class MetricsRecord:
-    """One trace row: world truth, detection, prediction and command at time t."""
+    """One trace row: world truth, detection, the frame's planning decision and
+    the prediction's score at time t.
+
+    `setpoint` through `shortest_index` are the frame decision, in the order a
+    planner returns it; `prediction_error` is filled in after the run.
+    """
 
     time: float
     ball_position: np.ndarray
     uav_position: np.ndarray
-    setpoint: Setpoint
     intercepted: bool
-    observation: Observation | None = None
+    observation: Observation | None
+    setpoint: Setpoint
     predicted_point: np.ndarray | None = None
-    prediction_error: float | None = None
     chosen_index: int | None = None  # path sample chosen by the active method
     shortest_index: int | None = None  # what plan_shortest would have chosen
+    prediction_error: float | None = None
 
 
 @dataclass
@@ -497,6 +502,12 @@ def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: Reachable
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario to termination; fully deterministic given cfg.
 
+    Each camera frame with a detection asks the scenario's planning path
+    (plane crossing, shortest/fastest, or cat & mouse) for one frame
+    decision, (setpoint, predicted point, chosen index, shortest index);
+    a frame without one holds the setpoint and predicts nothing. The
+    frame's MetricsRecord holds the decision as it is.
+
     In planar2d the UAV is constrained to the configured vertical plane;
     every frame the predicted path's plane crossing becomes the (projected)
     setpoint, and the recorded prediction error is the distance between
@@ -541,33 +552,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     for k, stamp, k_next in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks]):
         t = k * dt
         obs = observe(positions[k], params, uav, cam, stamp, rng_seed=(cfg.seed, k))
-        predicted_point = None
-        chosen_idx = None
-        shortest_idx = None
+        decision = sp, None, None, None  # no detection: hold the setpoint, predict nothing
         if obs is not None:
             last_obs_time = t
             push_observation(queue, obs)
             if planar:
-                sp, predicted_point = _plan_planar(cfg, queue, obs, uav, stop)
+                decision = _plan_planar(cfg, queue, obs, uav, stop)
             elif predictive:
-                sp, predicted_point, chosen_idx, shortest_idx = _plan_predictive(
-                    cfg, queue, obs, uav, sp, stop, t
-                )
+                decision = _plan_predictive(cfg, queue, obs, uav, sp, stop, t)
             else:
-                sp = plan_cat_mouse(obs, uav, yaw_enabled, cfg.edge_threshold)
-        records.append(
-            MetricsRecord(
-                time=t,
-                ball_position=positions[k],
-                uav_position=uav.position.copy(),
-                setpoint=sp,
-                intercepted=False,
-                observation=obs,
-                predicted_point=predicted_point,
-                chosen_index=chosen_idx,
-                shortest_index=shortest_idx,
-            )
-        )
+                decision = plan_cat_mouse(obs, uav, yaw_enabled, cfg.edge_threshold), None, None, None
+        sp = decision[0]
+        records.append(MetricsRecord(t, positions[k], uav.position.copy(), False, obs, *decision))
 
         # ticks k+1 .. k_next: the UAV at each against the ball sample of the same index
         k_next = min(k_next, last)
@@ -616,8 +612,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             time=t_end,
             ball_position=positions[i],
             uav_position=uav_position.copy(),
-            setpoint=sp,
             intercepted=intercepted,
+            observation=None,
+            setpoint=sp,
         )
     )
 
@@ -666,7 +663,9 @@ def _predict(cfg, queue, stop):
 
 
 def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
-    """Shortest/fastest planning with cat & mouse fallback and setpoint hysteresis."""
+    """Shortest/fastest planning with cat & mouse fallback and setpoint hysteresis, as the
+    frame decision (setpoint, predicted point, chosen index, shortest index); a fallback
+    frame predicts nothing, so its last three fields are None."""
     path = _predict(cfg, queue, stop)
     region = None if path is None else reachable_region(path, now, uav, cfg.limits)
     if region is None or len(region) == 0:
@@ -689,7 +688,8 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
 
 
 def _plan_planar(cfg, queue, obs, uav, stop):
-    """Plane-crossing setpoint for the 2D experiment (falls back to projected chase)."""
+    """Plane-crossing setpoint for the 2D experiment (falls back to projected chase), as
+    the frame decision (setpoint, predicted crossing or None, None, None)."""
     predicted_point = None
     target = obs.position
     path = _predict(cfg, queue, stop)
@@ -700,18 +700,13 @@ def _plan_planar(cfg, queue, obs, uav, stop):
     sp = Setpoint(
         target_position=project_to_plane(target, cfg.plane_point, cfg.plane_normal),
         target_yaw=yaw_command(obs, uav, cfg.edge_threshold),
-        path_index=None,
     )
-    return sp, predicted_point
+    return sp, predicted_point, None, None
 
 
 def _fill_planar_errors(cfg, records, truth_arr, dt):
     """Score predicted crossings against the true crossing of the ground-truth path."""
-    truth_path = PredictedPath(
-        positions=truth_arr,
-        times=dt * np.arange(len(truth_arr)),
-        t_step=dt,
-    )
+    truth_path = PredictedPath(positions=truth_arr, times=dt * np.arange(len(truth_arr)))
     true_crossing = plane_crossing(truth_path, cfg.plane_point, cfg.plane_normal)
     if true_crossing is None:
         return

@@ -108,12 +108,11 @@ class PropagationStop:
 class PredictedPath:
     """Ordered future samples of the object: positions[i] at times[i].
 
-    Times increase by exactly t_step; the first sample is the seed state.
+    Times increase; a predicted path's first sample is the seed state.
     """
 
     positions: np.ndarray  # (N, 3) m
     times: np.ndarray  # (N,) s
-    t_step: float  # s
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -122,11 +121,6 @@ class PredictedPath:
             raise ValueError("PredictedPath must be non-empty")
         if self.positions.shape != (len(self.times), 3):
             raise ValueError("positions must be (N, 3) matching times")
-        # the verdict of np.allclose(np.diff(times), t_step, rtol=0, atol=1e-9) at
-        # less cost; NaN fails
-        times = self.times
-        if len(times) > 1 and not np.abs(times[1:] - times[:-1] - self.t_step).max() <= 1e-9:
-            raise ValueError("times must increase by exactly t_step")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -175,11 +169,9 @@ def predict_path(
         if pz < ground:
             break
 
-    times = t0 + t_step * np.arange(len(xs))
     return PredictedPath(
         positions=np.array((xs, ys, zs)).T.copy(),  # C-contiguous (N, 3): one row per sample
-        times=times,
-        t_step=t_step,
+        times=t0 + t_step * np.arange(len(xs)),
     )
 
 

@@ -337,13 +337,13 @@ class TestPredictionError:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(15)
         verts = rng.uniform(-2, 2, size=(40, 3))
+        # brute force: densely sample every segment, 400 points each, once
+        a, b = verts[:-1, None, :], verts[1:, None, :]
+        lam = np.linspace(0.0, 1.0, 400)[None, :, None]
+        samples = (a + lam * (b - a)).reshape(-1, 3)
         for _ in range(25):
             q = rng.uniform(-3, 3, size=3)
-            # brute force: densely sample every segment
-            best = np.inf
-            for a, b in zip(verts[:-1], verts[1:]):
-                for lam in np.linspace(0.0, 1.0, 400):
-                    best = min(best, float(np.linalg.norm(q - (a + lam * (b - a)))))
+            best = float(np.linalg.norm(q - samples, axis=1).min())
             assert prediction_error(q, verts) == pytest.approx(best, abs=1e-4)
 
     def test_empty_trajectory_rejected(self):
@@ -416,6 +416,16 @@ class TestColumnFormScorer:
                     assert rec.prediction_error == rows_point_to_polyline(rec.predicted_point, rows)
                     scored += 1
         assert len(polylines) == 10 and scored > 100
+
+
+# each bundled run, then every other planning method the CLI's --method can put on A-E
+DECISION_RUNS = [(sid.value, None) for sid in ScenarioId] + [
+    (sid.value, method)
+    for sid in ScenarioId
+    if sid is not ScenarioId.PLANAR2D
+    for method in PlanMethod
+    if method is not bundled_config(sid).method
+]
 
 
 class TestScenarioOutcomes:
@@ -540,6 +550,45 @@ class TestScenarioOutcomes:
                     assert np.linalg.norm(r.predicted_point - prev.target_position) <= cfg.hysteresis_dist
             prev = sp
         assert (predicted, held, fallback) == (n_predicted, n_held, n_fallback)
+
+    @pytest.mark.parametrize(
+        "sid, method",
+        DECISION_RUNS,
+        ids=[f"{sid}-{'bundled' if m is None else m.value}" for sid, m in DECISION_RUNS],
+    )
+    def test_records_hold_the_frame_decision(self, sid, method):
+        # each frame record holds its planner's decision field for field; a
+        # misordered field would land in prediction_error, which scoring overwrites
+        cfg = config_from_dict(bundled_config(sid).to_dict(), method=method)
+        result = run_scenario(cfg)
+        indexed = cfg.method is not PlanMethod.CAT_MOUSE and cfg.scenario_id is not ScenarioId.PLANAR2D
+        prev_sp = None
+        n_indexed = 0
+        for r in result.records[:-1]:
+            pair = (r.chosen_index, r.shortest_index)
+            assert pair == (None, None) or all(type(i) is int for i in pair), (r.time, pair)
+            assert (pair != (None, None)) == (indexed and r.predicted_point is not None), r.time
+            if pair != (None, None):
+                n_indexed += 1
+                if cfg.method is PlanMethod.SHORTEST_PATH:
+                    assert r.chosen_index == r.shortest_index, r.time
+                else:
+                    assert r.chosen_index <= r.shortest_index, r.time
+            if r.predicted_point is None:
+                assert r.prediction_error is None, r.time
+            if r.observation is None:
+                assert r.predicted_point is None, r.time
+                if prev_sp is None:  # no detection yet: the hover setpoint
+                    assert np.array_equal(r.setpoint.target_position, [0.0, 0.0, cfg.start_elevation])
+                    assert r.setpoint.path_index is None
+                else:
+                    assert r.setpoint is prev_sp, r.time
+            prev_sp = r.setpoint
+        end = result.records[-1]
+        assert end.observation is None and end.setpoint is prev_sp
+        assert (end.predicted_point, end.chosen_index, end.shortest_index, end.prediction_error) == (None,) * 4
+        if indexed and cfg.scenario_id in (ScenarioId.D, ScenarioId.E):  # a throw has reachable predictions
+            assert n_indexed > 0
 
     def test_unpredictable_frame_falls_back_to_cat_mouse(self):
         # a held ball is never integrated, but Re = v D / nu underflows in every frame's prediction

@@ -24,11 +24,7 @@ from catchsim.vehicle import UavState, hover_init
 
 def path_from(points, t0=0.0, t_step=0.1):
     points = np.asarray(points, dtype=float)
-    return PredictedPath(
-        positions=points,
-        times=t0 + t_step * np.arange(len(points)),
-        t_step=t_step,
-    )
+    return PredictedPath(positions=points, times=t0 + t_step * np.arange(len(points)))
 
 
 def uav_at(p, yaw=0.0):
