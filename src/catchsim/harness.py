@@ -548,6 +548,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     frame_ticks, stamps = frame_schedule(cam.frame_rate, dt, n_ticks)
     last = len(positions) - 1  # a ballistic truth may end early, at its first sample below ground
     uav_position = uav.position  # at truth sample i
+    # The UAV-ball distance overflows only past ~1.3e154 m. The UAV stays within
+    # its reach of the start (in planar2d, give or take a projection's rounding,
+    # which grows with the plane point's distance), so one bound on every
+    # coordinate of a separation decides, before the first tick, whether any
+    # segment needs numpy's overflow warning silenced
+    extent = float(np.abs(positions).max()) + float(np.abs(uav.position).max())
+    extent += limits.max_speed * (cfg.max_sim_time + dt)
+    if planar:
+        extent += float(np.abs(cfg.plane_point).max())
+    may_overflow = not extent < 1e150  # three squares of 1e150 are far inside the float range
 
     for k, stamp, k_next in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks]):
         t = k * dt
@@ -579,7 +589,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         diff = path - balls
         # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit; a
         # separation past ~1e154 m overflows it to +inf, which is not a hit
-        with np.errstate(over="ignore"):
+        if may_overflow:
+            with np.errstate(over="ignore"):
+                d = np.sqrt(np.vecdot(diff, diff))
+        else:
             d = np.sqrt(np.vecdot(diff, diff))
         hit = d <= limits.intercept_radius
         flagged = hit

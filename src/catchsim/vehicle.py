@@ -117,7 +117,11 @@ def fly(
     with a zero gain no step reads the pitch, so only the last step's is
     computed.
     With a plane (point, unit normal), position and velocity are
-    projected onto it after every step. A command or velocity whose float
+    projected onto it after every step, as `project_to_plane` would: each
+    offset from the plane is numpy's dot product (BLAS ``ddot``, which fuses
+    its multiply-adds, so a float sum of products rounds differently),
+    while the subtractions and scalings around it round alike as floats
+    and as numpy's element-wise ufuncs. A command or velocity whose float
     norm overflows is clamped in exact arithmetic, so it keeps its
     direction.
     """
@@ -134,6 +138,11 @@ def fly(
     settled = False
     pitch_each_tick = height_comp_gain != 0.0  # otherwise no tick reads it: only the last is kept
     positions = array("d")
+    if plane is not None:
+        p0, n_hat = plane
+        p0x, p0y, p0z = (float(c) for c in p0)
+        nx, ny, nz = (float(c) for c in n_hat)
+        row = np.empty(3)  # each vector the dot product takes, written in place
 
     for _ in range(n):
         tz = tz_sp + height_comp_gain * pitch if height_comp_gain != 0.0 else tz_sp
@@ -192,12 +201,13 @@ def fly(
             pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
 
         if plane is not None:
-            # numpy's dot, not a float rewrite: it rounds differently
-            p0, n_hat = plane
-            p = np.array((px, py, pz))
-            v = np.array((vx, vy, vz))
-            px, py, pz = project_to_plane(p, p0, n_hat).tolist()
-            vx, vy, vz = (v - float(v @ n_hat) * n_hat).tolist()
+            # numpy's dot (a fused multiply-add in BLAS), not a float sum: it rounds differently
+            row[0], row[1], row[2] = px - p0x, py - p0y, pz - p0z
+            s = float(n_hat.dot(row))
+            px, py, pz = px - s * nx, py - s * ny, pz - s * nz
+            row[0], row[1], row[2] = vx, vy, vz
+            s = float(n_hat.dot(row))
+            vx, vy, vz = vx - s * nx, vy - s * ny, vz - s * nz
         positions.extend((px, py, pz))
 
     if n > 0 and not pitch_each_tick:

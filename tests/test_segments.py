@@ -9,15 +9,22 @@ at the latest frame, and the three termination checks. Planning is not
 redone; the recorded setpoints are replayed. The run must agree with the
 replay bit for bit: frame ticks, the UAV position at every frame, the
 reason, the last tick, `min_distance` and the final UAV position.
+
+The bundled planar2d plane has the normal (1, 0, 0), which makes every
+projection dot product exact, so the tilted planes below are the runs
+that can see how the engine rounds its projection.
 """
 
+import hashlib
 import json
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from catchsim.harness import BALL_LOST_TIMEOUT, BallMotion, ScenarioId, config_from_dict, run_scenario
+from catchsim.harness import (
+    BALL_LOST_TIMEOUT, BallMotion, ScenarioId, config_from_dict, run_scenario, summary_dict, trace_csv,
+)
 from catchsim.physics import ground_truth
 from catchsim.sensor import frame_schedule
 from catchsim.vehicle import UavState, hover_init, step_uav
@@ -110,6 +117,19 @@ def edited(sid: str, **fields) -> dict:
     return raw
 
 
+# planar2d on tilted planes through the bundled plane point (0, 0, 2); every run intercepts
+TILTED = [
+    (normal, seed)
+    for normal in ((0.8, 0.6, 0.0), (0.6, -0.8, 0.0), (0.48, 0.64, 0.6), (0.6, 0.0, 0.8))
+    for seed in (1, 2, 3)
+]
+TILTED_SHA256 = "40e6919b8725596195a4450293970296ff35b845c134371e4b2c25005a593807"
+
+
+def tilted(normal, seed: int) -> dict:
+    return edited("planar2d", plane__normal=list(normal), seed=seed)
+
+
 def segment_position(cfg, tick: int) -> str:
     """Where `tick` falls in its frame segment (the ticks after a frame tick,
     up to and including the next frame tick or the run's last tick)."""
@@ -123,6 +143,21 @@ def segment_position(cfg, tick: int) -> str:
 @pytest.mark.parametrize("sid", ["A", "B", "C", "D", "E", "planar2d"])
 def test_bundled_runs_match_the_per_tick_loop(sid):
     run_and_replay(bundled_raw(sid))
+
+
+@pytest.mark.parametrize("normal, seed", TILTED, ids=[f"{'_'.join(map(str, n))}-seed{s}" for n, s in TILTED])
+def test_tilted_planes_match_the_per_tick_loop(normal, seed):
+    _, result, _ = run_and_replay(tilted(normal, seed))
+    assert result.intercepted
+
+
+def test_tilted_plane_outputs_are_byte_identical():
+    # one sha256 over the traces and summaries, as tests/test_golden.py pins the bundled runs
+    h = hashlib.sha256()
+    for normal, seed in TILTED:
+        result = run_scenario(config_from_dict(tilted(normal, seed)))
+        h.update((trace_csv(result) + json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == TILTED_SHA256
 
 
 def test_intercept_on_the_last_tick_before_a_frame():

@@ -135,15 +135,29 @@ vec3 = st.lists(coord, min_size=3, max_size=3).map(np.array)
 unit3 = vec3.filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v))
 
 
+far3 = st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3).map(np.array)
+
+
+def fly_example(**fields):
+    """An @example of TestFly's property: from 2 m up toward (3, 1, 2.5) for
+    20 steps of 10 ms, with `fields` in place of any of its arguments."""
+    args = dict(
+        position=np.array([0.0, 0.0, 2.0]), velocity=np.array([0.5, -0.2, 0.0]),
+        yaw=0.1, pitch=0.2, target=np.array([3.0, 1.0, 2.5]), target_yaw=None,
+        limits=UavLimits(), dt=0.01, n=20, tilt_coupling=True, gains=(4.0, 3.0),
+        height_comp_gain=0.0, plane=None, plane_shift=None,
+    )
+    return example(**{**args, **fields})
+
+
 def settled_yaw_example(height_comp_gain, tilt_coupling):
     """An @example whose yaw already equals its target but is not a fixed
     point of the slew: wrap_angle(0.1) is 0.10000000000000009."""
-    return example(
-        position=np.array([0.0, 0.0, 2.0]), velocity=np.array([0.5, -0.2, 0.0]),
-        yaw=0.1, pitch=0.2, target=np.array([3.0, 1.0, 2.5]), target_yaw=0.1,
-        limits=UavLimits(), dt=0.01, n=20, tilt_coupling=tilt_coupling, gains=(4.0, 3.0),
-        height_comp_gain=height_comp_gain, plane=None,
-    )
+    return fly_example(target_yaw=0.1, height_comp_gain=height_comp_gain, tilt_coupling=tilt_coupling)
+
+
+# a plane whose normal is not an axis, so the projection's dot products round
+TILTED_PLANE = (np.array([0.0, 0.0, 2.0]), np.array([0.48, 0.64, 0.6]))
 
 
 class TestFly:
@@ -167,19 +181,29 @@ class TestFly:
         gains=st.tuples(st.floats(0.1, 50.0), st.floats(0.0, 20.0)),
         height_comp_gain=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
         plane=st.one_of(st.none(), st.tuples(vec3, unit3)),
+        # moves the plane point along the plane, up to 1e300 m from the start
+        plane_shift=st.one_of(st.none(), far3),
     )
     @settled_yaw_example(0.0, True)
     @settled_yaw_example(0.0, False)
     @settled_yaw_example(0.5, True)
     @settled_yaw_example(0.5, False)
+    @fly_example(n=200, plane=TILTED_PLANE)
+    @fly_example(n=100, plane=TILTED_PLANE, plane_shift=np.array([1e300, -1e300, 3e299]))
     def test_equals_chained_steps_bit_for_bit(
         self, position, velocity, yaw, pitch, target, target_yaw, limits, dt, n,
-        tilt_coupling, gains, height_comp_gain, plane,
+        tilt_coupling, gains, height_comp_gain, plane, plane_shift,
     ):
         # step_uav is fly for one tick, which always slews and sets the pitch,
         # so chained steps check fly's settled yaw and once-per-segment pitch
         if target_yaw is None:
             target_yaw = yaw
+        if plane is not None and plane_shift is not None:
+            # the start stays on the plane, to rounding; far out, that rounding
+            # moves the UAV so far off target that its command overflows and
+            # is clamped in exact arithmetic
+            n_hat = plane[1]
+            plane = position + (plane_shift - float(plane_shift @ n_hat) * n_hat), n_hat
         state = UavState(position, velocity, yaw, pitch)
         sp = setpoint(target, target_yaw)
         kp, kd = gains
