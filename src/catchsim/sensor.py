@@ -150,11 +150,15 @@ def sample_point_cloud(
     Deterministic for a fixed seed; the caller gates on visibility.
 
     numpy's ufuncs are called directly and round as its wrappers do:
-    `sqrt(to_cam . to_cam)` is the 1-D `np.linalg.norm`,
-    `sqrt(add.reduce(x * x, axis=1))` its `axis=1` form, and scaling each
-    row by -1 or 1 is negating the rows that face away. `np.vecdot` is not
-    used for the row norms: it sums each row as the 1-D norm does, up to
-    2 ulp off the `axis=1` norm on about one row in ten.
+    `sqrt(to_cam . to_cam)` is the 1-D `np.linalg.norm`, and
+    `sqrt(add.reduce(x * x, axis=1))` its `axis=1` form, taken in place.
+    Each row is scaled by a radius of -r or r, which is r times the row
+    mirrored onto the camera-facing hemisphere, since (-r) * d is -(r * d);
+    the ball position and the noise are then added in place. The reductions
+    and the `@` stay numpy's: `np.vecdot` sums each row as the 1-D norm
+    does, up to 2 ulp off the `axis=1` norm on about one row in ten, and
+    BLAS fuses the multiply-adds of `@`, so a float sum of products rounds
+    differently.
     """
     rng = np.random.default_rng(rng_seed)
     n = cam.points_per_detection
@@ -164,17 +168,21 @@ def sample_point_cloud(
     if norm == 0.0:
         to_cam = np.array([1.0, 0.0, 0.0])
     else:
-        to_cam = to_cam / norm
+        to_cam /= norm
 
     dirs = rng.normal(size=(n, 3))
-    dirs /= np.maximum(np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True)), 1e-300)
-    facing = dirs @ to_cam
-    dirs *= np.where(facing < 0.0, -1.0, 1.0)[:, None]  # mirror onto the camera-facing hemisphere
+    nrm = np.add.reduce(dirs * dirs, axis=1)
+    np.sqrt(nrm, out=nrm)
+    np.maximum(nrm, 1e-300, out=nrm)
+    dirs /= nrm[:, None]
 
-    points = ball_position + 0.5 * params.diameter_D * dirs
+    # a radius of -r mirrors a row that faces away onto the camera-facing hemisphere
+    r = 0.5 * params.diameter_D
+    np.multiply(dirs, np.where(dirs @ to_cam < 0.0, -r, r)[:, None], out=dirs)
+    dirs += ball_position
     if cam.noise_sigma > 0.0:
-        points = points + rng.normal(scale=cam.noise_sigma, size=(n, 3))
-    return points
+        dirs += rng.normal(scale=cam.noise_sigma, size=(n, 3))
+    return dirs
 
 
 def detect_centroid(points: np.ndarray) -> np.ndarray:
@@ -188,7 +196,11 @@ def detect_centroid(points: np.ndarray) -> np.ndarray:
     `add.reduce(x, axis=0) / n` is `x.mean(axis=0)`, the distances are
     `np.linalg.norm(axis=1)`'s `sqrt(add.reduce(x * x, axis=1))`, and the
     threshold is `dist.std()` in the steps `ndarray.std` takes (mean,
-    deviations, mean square, square root).
+    deviations, mean square, square root). The squares are taken in place,
+    the two scalar means are Python floats, which divide as numpy's do,
+    and `compress` gathers the kept rows as `points[keep]` does, at less
+    cost. The sums stay numpy's: its axis-0 sums are sequential but its
+    1-D sums pairwise, so a float loop would round differently.
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
@@ -196,13 +208,16 @@ def detect_centroid(points: np.ndarray) -> np.ndarray:
     n = len(points)
     mu = np.add.reduce(points, axis=0) / n
     off = points - mu
-    dist = np.sqrt(np.add.reduce(off * off, axis=1))
-    dev = dist - np.add.reduce(dist) / n
-    keep = dist <= math.sqrt(np.add.reduce(dev * dev) / n)
+    off *= off
+    dist = np.add.reduce(off, axis=1)
+    np.sqrt(dist, out=dist)
+    dev = dist - float(np.add.reduce(dist)) / n
+    dev *= dev
+    keep = dist <= math.sqrt(float(np.add.reduce(dev)) / n)
     count = np.count_nonzero(keep)
     if count == 0:
         return mu
-    return np.add.reduce(points[keep], axis=0) / count
+    return np.add.reduce(points.compress(keep, axis=0), axis=0) / count
 
 
 def observe(
@@ -226,7 +241,8 @@ def observe(
     if not _in_view(az, el, rng, cam):
         return None
     centroid = detect_centroid(sample_point_cloud(ball_position, params, uav, cam, rng_seed))
-    if not np.isfinite(centroid).all():
+    cx, cy, cz = centroid.tolist()
+    if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(cz)):
         return None
     edge = max(abs(az) / (0.5 * cam.horizontal_fov), abs(el) / (0.5 * cam.vertical_fov))
     return Observation(

@@ -24,11 +24,14 @@ if TYPE_CHECKING:
 DEFAULT_KP = 4.0  # s^-2, position gain
 DEFAULT_KD = 3.0  # s^-1, velocity damping
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+
 
 def wrap_angle(angle: float) -> float:
     """Normalize an angle to (-pi, pi]."""
-    w = (angle + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if w == -math.pi else w
+    w = (angle + _PI) % _TWO_PI - _PI
+    return _PI if w == -_PI else w
 
 
 @dataclass
@@ -124,13 +127,20 @@ def fly(
     and as numpy's element-wise ufuncs. A command or velocity whose float
     norm overflows is clamped in exact arithmetic, so it keeps its
     direction.
+    Everything else is Python float arithmetic, in the order written: one
+    comparison per clamp on the common path (a NaN or infinite norm fails
+    ``norm <= limit`` and is then told apart from a finite excess), and the
+    yaw clamp is two ``if``s that equal ``max(-m, min(m, d))`` for every
+    float, NaN included.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
 
-    px, py, pz = (float(c) for c in state.position)
-    vx, vy, vz = (float(c) for c in state.velocity)
-    tx, ty, tz_sp = (float(c) for c in sp.target_position)
+    sqrt, isfinite = math.sqrt, math.isfinite
+    px, py, pz = state.position.tolist()
+    vx, vy, vz = state.velocity.tolist()
+    tx, ty, tz_sp = sp.target_position.tolist()
+    tz = tz_sp
     yaw, pitch = state.yaw, state.pitch
     max_accel, max_speed = limits.max_accel, limits.max_speed
     max_dyaw = limits.max_yaw_rate * dt
@@ -145,44 +155,46 @@ def fly(
         row = np.empty(3)  # each vector the dot product takes, written in place
 
     for _ in range(n):
-        tz = tz_sp + height_comp_gain * pitch if height_comp_gain != 0.0 else tz_sp
+        if pitch_each_tick:
+            tz = tz_sp + height_comp_gain * pitch
         ax = kp * (tx - px) - kd * vx
         ay = kp * (ty - py) - kd * vy
         az = kp * (tz - pz) - kd * vz
-        a_norm = math.sqrt(ax * ax + ay * ay + az * az)
-        if not math.isfinite(a_norm):
-            # the command is past the float range: clamp it in exact arithmetic
-            ax, ay, az = _clamp_exact(
-                lambda F: [
-                    F(kp) * (t - F(p)) - F(kd) * F(v)
-                    for t, p, v in (
-                        (F(tx), px, vx),
-                        (F(ty), py, vy),
-                        (F(tz_sp) + F(height_comp_gain) * F(pitch), pz, vz),
-                    )
-                ],
-                max_accel,
-            )
-        elif a_norm > max_accel:
-            scale = max_accel / a_norm
-            ax *= scale
-            ay *= scale
-            az *= scale
+        a_norm = sqrt(ax * ax + ay * ay + az * az)
+        if not a_norm <= max_accel:  # past the limit, or not finite
+            if not isfinite(a_norm):
+                # the command is past the float range: clamp it in exact arithmetic
+                ax, ay, az = _clamp_exact(
+                    lambda F: [
+                        F(kp) * (t - F(p)) - F(kd) * F(v)
+                        for t, p, v in (
+                            (F(tx), px, vx),
+                            (F(ty), py, vy),
+                            (F(tz_sp) + F(height_comp_gain) * F(pitch), pz, vz),
+                        )
+                    ],
+                    max_accel,
+                )
+            else:
+                scale = max_accel / a_norm
+                ax *= scale
+                ay *= scale
+                az *= scale
 
         nvx = vx + ax * dt
         nvy = vy + ay * dt
         nvz = vz + az * dt
-        v_norm = math.sqrt(nvx * nvx + nvy * nvy + nvz * nvz)
-        if not math.isfinite(v_norm):
+        v_norm = sqrt(nvx * nvx + nvy * nvy + nvz * nvz)
+        if v_norm <= max_speed:
+            vx, vy, vz = nvx, nvy, nvz
+        elif not isfinite(v_norm):
             vx, vy, vz = _clamp_exact(
                 lambda F: [F(v) + F(a) * F(dt) for v, a in ((vx, ax), (vy, ay), (vz, az))],
                 max_speed,
             )
-        elif v_norm > max_speed:
+        else:
             scale = max_speed / v_norm
             vx, vy, vz = nvx * scale, nvy * scale, nvz * scale
-        else:
-            vx, vy, vz = nvx, nvy, nvz
 
         px += vx * dt
         py += vy * dt
@@ -192,7 +204,10 @@ def fly(
             # the slew is a function of yaw alone here, so a yaw it leaves
             # unchanged is left unchanged for the rest of the segment
             dyaw = wrap_angle(target_yaw - yaw)
-            dyaw = max(-max_dyaw, min(max_dyaw, dyaw))
+            if not dyaw < max_dyaw:  # max(-max_dyaw, min(max_dyaw, dyaw)), NaN included
+                dyaw = max_dyaw
+            if not dyaw > -max_dyaw:
+                dyaw = -max_dyaw
             new_yaw = wrap_angle(yaw + dyaw)
             settled = new_yaw == yaw
             yaw = new_yaw

@@ -197,6 +197,9 @@ class TestLeanDetectionMatchesReference:
     )
     @example(n=50, sigma=0.0, ball=(3.0, 0.0, 2.0), uav=None, seed=1)
     @example(n=50, sigma=1e308, ball=(3.0, 0.0, 2.0), uav=(0.0, 0.0, 2.0), seed=1)
+    @example(n=1, sigma=0.01, ball=(3.0, 0.0, 2.0), uav=(0.0, 0.0, 2.0), seed=1)
+    @example(n=2, sigma=0.01, ball=(3.0, 0.0, 2.0), uav=(0.0, 0.0, 2.0), seed=1)
+    @example(n=50, sigma=0.01, ball=(3.0, 0.0, 2.0), uav=None, seed=1)
     def test_cloud_and_centroid_bytes(self, n, sigma, ball, uav, seed):
         ball = ball_at(ball)
         drone = uav_at(ball if uav is None else uav)
@@ -231,6 +234,14 @@ class TestObserve:
     def test_noise_past_the_float_range_gives_none(self):
         cam = camera(1e308)
         assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, 1) is None
+
+    def test_noisy_position_is_the_reference_centroid(self):
+        ball, params, uav = ball_at((3.0, 0.5, 2.2)), ProjectileParams(), uav_at()
+        cam = CameraModel(noise_sigma=0.01)
+        out = observe(ball, params, uav, cam, 0.0, rng_seed=(7, 120))
+        assert out is not None
+        expected = reference_centroid(reference_cloud(ball, params, uav, cam, rng_seed=(7, 120)))
+        assert out.position.tobytes() == expected.tobytes()
 
     def test_timestamp_is_the_given_stamp(self):
         out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0025, 1)

@@ -1,5 +1,5 @@
 """Vehicle model verification: PD tracking envelopes, yaw slew, tilt coupling,
-and the n-step kernel against chained single steps."""
+and the n-step kernel against a per-tick reference."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.planner import Setpoint, UavLimits
-from catchsim.vehicle import UavState, fly, hover_init, step_uav, wrap_angle
+from catchsim.vehicle import UavState, _clamp_exact, fly, hover_init, step_uav, wrap_angle
 
 
 def setpoint(target, yaw=0.0):
@@ -160,6 +160,55 @@ def settled_yaw_example(height_comp_gain, tilt_coupling):
 TILTED_PLANE = (np.array([0.0, 0.0, 2.0]), np.array([0.48, 0.64, 0.6]))
 
 
+def reference_wrap(angle):
+    """`wrap_angle`'s formula, written out."""
+    w = (angle + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w == -math.pi else w
+
+
+def reference_fly(state, sp, limits, dt, n, tilt_coupling, kp, kd, gravity_g, height_comp_gain, plane):
+    """`fly`'s arithmetic written out one tick at a time, with no shortcut: each
+    tick recomputes the height target, slews the yaw and sets the pitch, and
+    a plane projection is `project_to_plane`'s numpy form. Returns the final
+    state and the (n, 3) positions after each tick."""
+    p = [float(c) for c in state.position]
+    v = [float(c) for c in state.velocity]
+    tx, ty, tz_sp = (float(c) for c in sp.target_position)
+    yaw, pitch = state.yaw, state.pitch
+    max_dyaw = limits.max_yaw_rate * dt
+    path = []
+    for _ in range(n):
+        tz = tz_sp + height_comp_gain * pitch if height_comp_gain != 0.0 else tz_sp
+        a = [kp * (t - c) - kd * u for t, c, u in zip((tx, ty, tz), p, v)]
+        a_norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+        if not math.isfinite(a_norm):
+            def command(F):
+                exact_targets = (F(tx), F(ty), F(tz_sp) + F(height_comp_gain) * F(pitch))
+                return [F(kp) * (t - F(c)) - F(kd) * F(u) for t, c, u in zip(exact_targets, p, v)]
+
+            a = list(_clamp_exact(command, limits.max_accel))
+        elif a_norm > limits.max_accel:
+            a = [c * (limits.max_accel / a_norm) for c in a]
+        nv = [u + c * dt for u, c in zip(v, a)]
+        v_norm = math.sqrt(nv[0] * nv[0] + nv[1] * nv[1] + nv[2] * nv[2])
+        if not math.isfinite(v_norm):
+            v = list(_clamp_exact(lambda F: [F(u) + F(c) * F(dt) for u, c in zip(v, a)], limits.max_speed))
+        elif v_norm > limits.max_speed:
+            v = [c * (limits.max_speed / v_norm) for c in nv]
+        else:
+            v = nv
+        p = [c + u * dt for c, u in zip(p, v)]
+        yaw = reference_wrap(yaw + max(-max_dyaw, min(max_dyaw, reference_wrap(sp.target_yaw - yaw))))
+        pitch = math.atan(math.hypot(a[0], a[1]) / gravity_g) if tilt_coupling else 0.0
+        if plane is not None:
+            p0, n_hat = plane
+            pos, vel = np.array(p), np.array(v)
+            p = (pos - float((pos - p0) @ n_hat) * n_hat).tolist()
+            v = (vel - float(vel @ n_hat) * n_hat).tolist()
+        path.append(p)
+    return UavState(np.array(p), np.array(v), yaw, pitch), np.array(path).reshape(n, 3)
+
+
 class TestFly:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -190,12 +239,22 @@ class TestFly:
     @settled_yaw_example(0.5, False)
     @fly_example(n=200, plane=TILTED_PLANE)
     @fly_example(n=100, plane=TILTED_PLANE, plane_shift=np.array([1e300, -1e300, 3e299]))
-    def test_equals_chained_steps_bit_for_bit(
+    # from rest toward (3, 4, 0) m off with kp = 1, kd = 0: the first command
+    # is (3, 4, 0), of norm exactly max_accel, and after a 0.5 s step the
+    # velocity (1.5, 2, 0) has norm exactly 2.5
+    @fly_example(velocity=np.zeros(3), target=np.array([3.0, 4.0, 2.0]), gains=(1.0, 0.0),
+                 limits=UavLimits(max_accel=5.0, max_speed=10.0), n=1)
+    @fly_example(velocity=np.zeros(3), target=np.array([3.0, 4.0, 2.0]), gains=(1.0, 0.0),
+                 limits=UavLimits(max_accel=5.0, max_speed=2.5), dt=0.5, n=1)
+    @fly_example(gains=(1e308, 3.0))  # the command overflows: clamped in exact arithmetic
+    @fly_example(height_comp_gain=1.5, n=60)
+    @fly_example(target_yaw=math.nan)  # the clamp turns a NaN slew into +max_dyaw every tick
+    def test_equals_reference_bit_for_bit(
         self, position, velocity, yaw, pitch, target, target_yaw, limits, dt, n,
         tilt_coupling, gains, height_comp_gain, plane, plane_shift,
     ):
-        # step_uav is fly for one tick, which always slews and sets the pitch,
-        # so chained steps check fly's settled yaw and once-per-segment pitch
+        # the reference slews and sets the pitch every tick, so it also checks
+        # fly's settled yaw and once-per-segment pitch
         if target_yaw is None:
             target_yaw = yaw
         if plane is not None and plane_shift is not None:
@@ -206,26 +265,12 @@ class TestFly:
             plane = position + (plane_shift - float(plane_shift @ n_hat) * n_hat), n_hat
         state = UavState(position, velocity, yaw, pitch)
         sp = setpoint(target, target_yaw)
-        kp, kd = gains
-        final, path = fly(state, sp, limits, dt, n, tilt_coupling, kp, kd, 9.81, height_comp_gain, plane)
-        expected = []
-        for _ in range(n):
-            state = step_uav(state, sp, limits, dt, tilt_coupling, kp, kd, 9.81, height_comp_gain)
-            if plane is not None:
-                # the projection the engine applied after each step_uav
-                p0, n_hat = plane
-                pos = state.position - float((state.position - p0) @ n_hat) * n_hat
-                vel = state.velocity - float(state.velocity @ n_hat) * n_hat
-                state = UavState(pos, vel, state.yaw, state.pitch)
-            expected.append(state.position)
-        # and the slew written out, as an independent reference for the yaw
-        slewed, max_dyaw = yaw, limits.max_yaw_rate * dt
-        for _ in range(n):
-            slewed = wrap_angle(slewed + max(-max_dyaw, min(max_dyaw, wrap_angle(target_yaw - slewed))))
-        assert final.yaw.hex() == slewed.hex()
-        assert bits(final) == bits(state)
+        args = (state, sp, limits, dt, n, tilt_coupling, *gains, 9.81, height_comp_gain, plane)
+        final, path = fly(*args)
+        expected, expected_path = reference_fly(*args)
+        assert bits(final) == bits(expected)
         assert path.shape == (n, 3)
-        assert path.tobytes() == np.array(expected).tobytes()
+        assert path.tobytes() == expected_path.tobytes()
 
     def test_a_yaw_on_its_target_still_slews_once(self):
         # wrap_angle(0.1) is 0.10000000000000009, so a yaw equal to its target
@@ -268,3 +313,15 @@ class TestWrapAngle:
     def test_identity_inside_range(self):
         for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
             assert wrap_angle(a) == pytest.approx(a if abs(a) <= math.pi else a - np.sign(a) * 2 * math.pi)
+
+    @given(angle=st.floats(-1e6, 1e6))
+    @example(angle=math.pi)
+    @example(angle=-math.pi)
+    @example(angle=3 * math.pi)
+    @example(angle=-3 * math.pi)
+    @example(angle=0.0)
+    @example(angle=-0.0)
+    def test_equals_the_formula_bit_for_bit(self, angle):
+        wrapped = wrap_angle(angle)
+        assert wrapped.hex() == reference_wrap(angle).hex()  # hex tells 0.0 from -0.0
+        assert -math.pi < wrapped <= math.pi
