@@ -494,9 +494,22 @@ def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: Reachable
     """Has the previous path-based target dropped out of the (new) green region?"""
     # the argmin breaks ties between rows on the rounded distance, not on its square;
     # an overflowed distance is +inf, far from the old target
-    j = int(row_distances(path.positions, sp.target_position).argmin())
+    with np.errstate(over="ignore"):
+        d = row_distances(path.positions, sp.target_position)
+    j = int(d.argmin())
     k = int(np.searchsorted(region.indices, j))
     return k >= len(region.indices) or int(region.indices[k]) != j
+
+
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """The 32-bit words, least significant first, that numpy's SeedSequence makes
+    of a non-negative int: (0,) for 0, and no leading zero word otherwise."""
+    words = [seed & 0xFFFF_FFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFF_FFFF)
+        seed >>= 32
+    return tuple(words)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -559,9 +572,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         extent += float(np.abs(cfg.plane_point).max())
     may_overflow = not extent < 1e150  # three squares of 1e150 are far inside the float range
 
+    # Frame k's noise is seeded with (cfg.seed, k). SeedSequence reads that tuple as
+    # the words of each int in turn; a uint32 array of the same words seeds the
+    # same stream, and numpy copies it instead of converting each int (k < 2**32,
+    # since n_ticks <= MAX_TRUTH_SAMPLES)
+    seed_words = _seed_words(cfg.seed)
     for k, stamp, k_next in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks]):
         t = k * dt
-        obs = observe(positions[k], params, uav, cam, stamp, rng_seed=(cfg.seed, k))
+        obs = observe(
+            positions[k], params, uav, cam, stamp, rng_seed=np.array((*seed_words, k), dtype=np.uint32)
+        )
         decision = sp, None, None, None  # no detection: hold the setpoint, predict nothing
         if obs is not None:
             last_obs_time = t
@@ -605,10 +625,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         # the per-tick vector
         if last_obs_time is not None and k_next * dt - last_obs_time > BALL_LOST_TIMEOUT:
             flagged = flagged | (np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT)
-        # the run ends at the first flagged tick; otherwise the segment is flown in full.
-        # The reductions are the ufuncs that ndarray.any and ndarray.min call.
-        ends = np.logical_or.reduce(flagged)
-        j = int(flagged.argmax()) if ends else len(d) - 1
+        # the run ends at the first flagged tick, which argmax finds if there is one;
+        # otherwise the segment is flown in full. The reduction is the ufunc that
+        # ndarray.min calls.
+        j = int(flagged.argmax())
+        ends = flagged[j]
+        if not ends:
+            j = len(d) - 1
         seg_min = float(np.minimum.reduce(d[: j + 1]))
         if seg_min < min_distance:
             min_distance = seg_min

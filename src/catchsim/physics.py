@@ -111,7 +111,12 @@ class ProjectileParams:
 
 @dataclass
 class BallState:
-    """Projectile position/velocity in the world frame at a given time."""
+    """Projectile position/velocity in the world frame at a given time.
+
+    position and velocity may be any 3-sequences of numbers; they are stored
+    as float64 arrays. A NaN or infinite component, time included, is a
+    ValueError.
+    """
 
     position: np.ndarray  # m, shape (3,)
     velocity: np.ndarray  # m/s, shape (3,)
@@ -122,11 +127,7 @@ class BallState:
         self.velocity = np.asarray(self.velocity, dtype=float)
         if self.position.shape != (3,) or self.velocity.shape != (3,):
             raise ValueError("position and velocity must be 3-vectors")
-        if not (
-            np.isfinite(self.position).all()
-            and np.isfinite(self.velocity).all()
-            and math.isfinite(self.time)
-        ):
+        if not all(map(math.isfinite, (*self.position.tolist(), *self.velocity.tolist(), self.time))):
             raise ValueError(_NONFINITE_STATE)
 
 

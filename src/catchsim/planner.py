@@ -87,30 +87,32 @@ def _trapezoid_time(d, limits: UavLimits) -> np.ndarray:
     """Time to cover distance(s) d from rest: accelerate, then cruise.
 
     With accel a and cruise speed v: t = d/v + v/(2a) once d >= v^2/(2a),
-    else t = sqrt(2 d / a).
+    else t = sqrt(2 d / a). An overflowed d / v is +inf: unreachable, which
+    is the right answer. It is quiet only under the caller's
+    `np.errstate(invalid="ignore", over="ignore")`; elsewhere numpy warns.
     """
     v, a = limits.max_speed, limits.max_accel
-    # an overflowed d / v is +inf: unreachable, which is the right answer
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
+    return np.where(d >= v * v / (2.0 * a), d / v + v / (2.0 * a), np.sqrt(2.0 * d / a))
 
 
 def row_distances(positions: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Distance from `point` to each row of `positions`, as np.linalg.norm(positions - point,
-    axis=1) computes it, bit for bit. A distance past the float range is +inf, not a warning."""
-    with np.errstate(over="ignore"):
-        diff = positions - point
-        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+    axis=1) computes it, bit for bit. A distance past the float range is +inf, quiet only
+    under the caller's `np.errstate(over="ignore")`; elsewhere numpy warns."""
+    diff = positions - point
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 def reachable_region(path: PredictedPath, now: float, uav: UavState, limits: UavLimits) -> ReachableRegion:
     """Indices i whose trapezoidal time-to-reach is <= sample i's arrival time - now.
 
     Sample times are absolute, so the inclusion test only needs `now`. An
-    overflowed distance reads as unreachable (see _trapezoid_time).
+    overflowed distance reads as unreachable (see _trapezoid_time); one
+    `errstate` quiets both the distances and the times.
     """
-    d = row_distances(path.positions, uav.position)
-    margins = (path.times - now) - _trapezoid_time(d, limits)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = row_distances(path.positions, uav.position)
+        margins = (path.times - now) - _trapezoid_time(d, limits)
     mask = margins >= 0.0
     return ReachableRegion(indices=np.flatnonzero(mask), margins=margins[mask], distances=d[mask])
 

@@ -74,22 +74,36 @@ def estimate_velocity(queue: ObservationQueue) -> np.ndarray:
 
     Timestamps are re-based to the oldest entry before summation so the
     denominator does not cancel catastrophically for large absolute times.
+
+    Each sum rounds as `ndarray.sum` does. The two sums over times stay
+    numpy's, because numpy sums a 1-D array pairwise once it holds more
+    than eight entries. The sums over positions are numpy's axis-0 sums of
+    an (n, 3) array, which add the rows one after another in order, so
+    they and the slopes are taken here in Python floats, starting from the
+    first row as numpy does.
     """
-    n = len(queue.entries)
+    entries = queue.entries
+    n = len(entries)
     if n < 2:
         raise InsufficientDataError(f"need >= 2 observations, have {n}")
-    ts = np.array([t for t, _ in queue.entries])
-    ps = np.array([p for _, p in queue.entries])
-    ts = ts - ts[0]
-    # np.add.reduce is what ndarray.sum calls: the same pairwise summation
-    st = np.add.reduce(ts)
-    stt = np.add.reduce(ts * ts)
+    t0 = entries[0][0]
+    ts = np.array([t - t0 for t, _ in entries])
+    st = float(np.add.reduce(ts))
+    stt = float(np.add.reduce(ts * ts))
     denom = n * stt - st * st
     if denom == 0.0:
         raise DegenerateRegressionError("all timestamps equal; slope undefined")
-    stp = np.add.reduce(ts[:, None] * ps, axis=0)
-    sp = np.add.reduce(ps, axis=0)
-    return (n * stp - sp * st) / denom
+    rows = zip(ts.tolist(), [p.tolist() for _, p in entries])
+    t, (sx, sy, sz) = next(rows)
+    ux, uy, uz = t * sx, t * sy, t * sz
+    for t, (x, y, z) in rows:
+        sx += x
+        sy += y
+        sz += z
+        ux += t * x
+        uy += t * y
+        uz += t * z
+    return np.array(((n * ux - sx * st) / denom, (n * uy - sy * st) / denom, (n * uz - sz * st) / denom))
 
 
 @dataclass
@@ -170,7 +184,7 @@ def predict_path(
             break
 
     return PredictedPath(
-        positions=np.array((xs, ys, zs)).T.copy(),  # C-contiguous (N, 3): one row per sample
+        positions=np.array((xs, ys, zs), dtype=float).T.copy(),  # C-contiguous (N, 3): one row per sample
         times=t0 + t_step * np.arange(len(xs)),
     )
 

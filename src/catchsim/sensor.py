@@ -148,6 +148,10 @@ def sample_point_cloud(
     Points are uniform over the hemisphere whose outward normal faces the
     camera, each perturbed by isotropic Gaussian noise of `noise_sigma`.
     Deterministic for a fixed seed; the caller gates on visibility.
+    `rng_seed` is anything `np.random.default_rng` takes: an int, a tuple
+    of ints, or a uint32 array of the words numpy's SeedSequence makes of
+    them (the run passes its (seed, tick) that way), which gives the same
+    stream as the ints.
 
     numpy's ufuncs are called directly and round as its wrappers do:
     `sqrt(to_cam . to_cam)` is the 1-D `np.linalg.norm`, and
@@ -233,9 +237,10 @@ def observe(
     Called once per frame of `frame_schedule`, with that frame's stamp.
     One evaluation of the camera geometry at the true centre gates
     visibility and gives the bearings and edge_fraction; the reported
-    position is the fringe-filtered centroid of the sampled cloud. A cloud
-    whose centroid is not finite (noise past the float range) is no
-    detection.
+    position is the fringe-filtered centroid of the sampled cloud, drawn
+    with `rng_seed` (an int, a tuple of ints or their uint32 word array;
+    see sample_point_cloud). A cloud whose centroid is not finite (noise
+    past the float range) is no detection.
     """
     az, el, rng = _bearings(ball_position, uav, cam)
     if not _in_view(az, el, rng, cam):

@@ -36,16 +36,16 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass
 class UavState:
-    """Vehicle pose. Yaw is CCW about +z; pitch is accel-induced tilt."""
+    """Vehicle pose. Yaw is CCW about +z; pitch is accel-induced tilt.
+
+    position and velocity must be float64 arrays of shape (3,); they are
+    stored as given, not converted.
+    """
 
     position: np.ndarray  # m
     velocity: np.ndarray  # m/s
     yaw: float = 0.0  # rad, in (-pi, pi]
     pitch: float = 0.0  # rad, >= 0, added to the camera mount pitch
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
 
 
 def hover_init(elevation: float) -> UavState:

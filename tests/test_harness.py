@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchsim import harness
 from catchsim.harness import (
@@ -15,6 +17,7 @@ from catchsim.harness import (
     TRACE_HEADER,
     ConfigError,
     ScenarioId,
+    _seed_words,
     bundled_config,
     config_from_dict,
     final_prediction_error,
@@ -426,6 +429,35 @@ DECISION_RUNS = [(sid.value, None) for sid in ScenarioId] + [
     for method in PlanMethod
     if method is not bundled_config(sid).method
 ]
+
+
+def frame_draws(rng_seed):
+    """The bits of the first normal draws a frame's cloud takes from its seed."""
+    return np.random.default_rng(rng_seed).normal(size=(50, 3)).tobytes()
+
+
+def word_seed(seed, k):
+    """Frame k's seed as run_scenario builds it."""
+    return np.array((*_seed_words(seed), k), dtype=np.uint32)
+
+
+class TestSeedWords:
+    # a seed of one word, the largest one-word seed, the smallest two-word one, and longer ones
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345])
+    @pytest.mark.parametrize("k", [0, 1, 99_999])
+    def test_draws_as_the_int_pair(self, seed, k):
+        assert frame_draws(word_seed(seed, k)) == frame_draws((seed, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**256 - 1), k=st.integers(0, MAX_TRUTH_SAMPLES))
+    def test_draws_as_the_int_pair_for_any_seed(self, seed, k):
+        assert frame_draws(word_seed(seed, k)) == frame_draws((seed, k))
+
+    def test_words_are_little_endian_without_leading_zeros(self):
+        assert _seed_words(0) == (0,)
+        assert _seed_words(2**32 - 1) == (2**32 - 1,)
+        assert _seed_words(2**32) == (0, 1)
+        assert _seed_words(2**64 + 3) == (3, 0, 1)
 
 
 class TestScenarioOutcomes:

@@ -5,6 +5,7 @@ next to each assertion (term-by-term formula evaluation, analytic
 ballistics, convergence-order measurements).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.physics import (
+    _NONFINITE_STATE,
     _SPEED_FLOOR,
     BallState,
     DragMode,
@@ -252,8 +254,17 @@ class TestValidation:
         assert p.reference_area_A == pytest.approx(math.pi * 0.04**2 / 4, rel=1e-15)
 
     def test_ball_state_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            BallState(position=np.array([0.0, 0.0, float("nan")]), velocity=np.zeros(3))
+        # components 0-2 are the position, 3-5 the velocity and 6 the time
+        for component, bad in itertools.product(range(7), (math.nan, math.inf, -math.inf)):
+            values = [1.0, -2.0, 3.0, 0.5, 0.0, -4.0, 0.25]
+            values[component] = bad
+            with pytest.raises(ValueError, match=f"^{_NONFINITE_STATE}$"):
+                BallState(position=np.array(values[:3]), velocity=np.array(values[3:6]), time=values[6])
+
+    def test_ball_state_takes_lists(self):
+        state = BallState(position=[0, 1.5, 2], velocity=[3.0, 0, -1], time=4)
+        assert state.position.dtype == state.velocity.dtype == np.float64
+        assert state.position.tolist() == [0.0, 1.5, 2.0] and state.velocity.tolist() == [3.0, 0.0, -1.0]
 
     def test_step_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

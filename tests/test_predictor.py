@@ -108,19 +108,30 @@ def velocity_outcome(f, queue):
 class TestEstimateVelocityReference:
     @settings(max_examples=200, deadline=None)
     @given(
-        capacity=st.integers(2, 16),
-        steps=st.lists(st.floats(1e-6, 10.0), max_size=24),
+        capacity=st.integers(2, 300),
         t0=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_equals_the_sum_form_bit_for_bit(self, capacity, steps, t0, data):
-        # pushes past the capacity slide the window; from 8 entries the sums are pairwise
+    def test_equals_the_sum_form_bit_for_bit(self, capacity, t0, seed, data):
+        # pushes past the capacity slide the window. Past 8 entries numpy sums a 1-D
+        # array pairwise, 8 wide, and past 128 it also splits it in halves; the
+        # axis-0 sums it adds row by row. The bulk of a long window is random; its
+        # first rows are Hypothesis floats (signed zeros, subnormals, +-1e100).
+        n = data.draw(st.integers(1, capacity + 24), label="pushes")
         coordinate = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e100, 1e100))
+        first = max(0, n - capacity)  # the first row of the final window
+        row = st.tuples(coordinate, coordinate, coordinate)
+        head = data.draw(st.lists(row, max_size=min(n - first, 4)), label="head")
+        rng = np.random.default_rng(seed)
+        steps = 10.0 ** rng.uniform(-6.0, 1.0, n)  # 1e-6 .. 10 s; a step of 1e-6 s still advances t at 1e6 s
+        points = rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.choice([1.0, 100.0], (n, 3))
+        points[first : first + len(head)] = np.array(head).reshape(-1, 3)
         q = ObservationQueue(capacity=capacity)
         t = t0
-        for dt in [0.0, *steps]:
-            t += dt  # a step of 1e-6 s still advances t at 1e6 s
-            push_observation(q, obs(t, data.draw(st.lists(coordinate, min_size=3, max_size=3))))
+        for dt, p in zip(steps, points):
+            t += dt
+            push_observation(q, obs(t, p))
         assert velocity_outcome(estimate_velocity, q) == velocity_outcome(reference_velocity, q)
 
 
