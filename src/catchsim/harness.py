@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -216,6 +217,23 @@ def _json_float(value: int | float, fault: str) -> float:
         raise ConfigError(f"{fault}, got an integer of {len(str(abs(value)))} digits") from None
 
 
+# The bounds a number or integer leaf may declare: each key and the relation a value must bear to it.
+_BOUNDS = (
+    ("min_exclusive", ">", operator.gt),
+    ("min", ">=", operator.ge),
+    ("max_exclusive", "<", operator.lt),
+    ("max", "<=", operator.le),
+)
+
+
+def _check_bounds(value: int | float, node: dict, path: str) -> int | float:
+    """`value` if it lies within every bound its schema node declares."""
+    for key, relation, holds in _BOUNDS:
+        if key in node and not holds(value, node[key]):
+            raise ConfigError(f"{path}: must be {relation} {node[key]}, got {value}")
+    return value
+
+
 def _check_leaf(value, node: dict, path: str):
     """Validate one JSON leaf against its schema node; returns it typed (a vec3 as a float array)."""
     kind = node["type"]
@@ -225,17 +243,11 @@ def _check_leaf(value, node: dict, path: str):
         value = _json_float(value, f"{path}: must be finite")
         if not math.isfinite(value):
             raise ConfigError(f"{path}: must be finite, got {value!r}")
-        if "min_exclusive" in node and value <= node["min_exclusive"]:
-            raise ConfigError(f"{path}: must be > {node['min_exclusive']}, got {value}")
-        if "min" in node and value < node["min"]:
-            raise ConfigError(f"{path}: must be >= {node['min']}, got {value}")
-        return value
+        return _check_bounds(value, node, path)
     if kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        if "min" in node and value < node["min"]:
-            raise ConfigError(f"{path}: must be >= {node['min']}, got {value}")
-        return value
+        return _check_bounds(value, node, path)
     if kind == "boolean":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
@@ -286,11 +298,8 @@ def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioCon
     elif point is not None or normal is not None:
         raise ConfigError(f"plane: only valid for scenario planar2d, not {sid.value}")
 
-    try:
-        for name, cls in _NESTED.items():
-            kwargs[name] = cls(**kwargs[name])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for name, cls in _NESTED.items():
+        kwargs[name] = cls(**kwargs[name])
 
     cfg = ScenarioConfig(**kwargs)
     _validate_semantics(cfg)
@@ -298,6 +307,12 @@ def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioCon
 
 
 def _validate_semantics(cfg: ScenarioConfig):
+    # the schema bounds a given reference area; one derived from the diameter may over- or underflow
+    area = cfg.projectile.reference_area_A
+    if not 0.0 < area < math.inf:
+        raise ConfigError(
+            f"projectile.diameter: with reference_area omitted, pi D^2 / 4 must be finite and > 0, got {area}"
+        )
     if cfg.tilt_coupling and cfg.environment.gravity_g == 0.0:
         # the coupled camera tilt is atan(|a_h| / g)
         raise ConfigError("environment.gravity: must be > 0 while planner.tilt_coupling is on")

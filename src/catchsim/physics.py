@@ -77,15 +77,6 @@ class Environment:
     air_density_rho: float = 1.204  # kg/m^3
     kinematic_viscosity_nu: float = 1.5e-5  # m^2/s
 
-    def __post_init__(self):
-        # gravity may be zeroed to isolate drag in experiments/tests
-        if not (math.isfinite(self.gravity_g) and self.gravity_g >= 0.0):
-            raise ValueError(f"gravity_g must be finite and >= 0, got {self.gravity_g}")
-        for name in ("air_density_rho", "kinematic_viscosity_nu"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-
 
 @dataclass
 class ProjectileParams:
@@ -100,13 +91,9 @@ class ProjectileParams:
         if self.reference_area_A is None:
             try:
                 self.reference_area_A = math.pi * self.diameter_D**2 / 4.0
-            except OverflowError:  # D**2 past the float range: rejected below as inf
+            except OverflowError:  # D**2 past the float range; config loading rejects inf
                 self.reference_area_A = math.inf
         self.drag_mode = DragMode(self.drag_mode)
-        for name in ("mass_m", "diameter_D", "reference_area_A"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass

@@ -20,7 +20,6 @@ it is optimistic when the UAV is moving away from a target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,12 +44,6 @@ class UavLimits:
     max_accel: float = 6.0  # m/s^2
     max_yaw_rate: float = 2.0  # rad/s
     intercept_radius: float = 0.35  # m
-
-    def __post_init__(self):
-        for name in ("max_speed", "max_accel", "max_yaw_rate", "intercept_radius"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
 
 
 @dataclass

@@ -113,10 +113,6 @@ class PropagationStop:
     max_horizon: float = 3.0  # s
     ground_height: float = 0.0  # m
 
-    def __post_init__(self):
-        if not (math.isfinite(self.max_horizon) and self.max_horizon > 0.0):
-            raise ValueError(f"max_horizon must be > 0, got {self.max_horizon}")
-
 
 @dataclass
 class PredictedPath:

@@ -28,13 +28,6 @@ if TYPE_CHECKING:
     from .vehicle import UavState
 
 
-MAX_POINTS_PER_DETECTION = 100_000  # a detection holds a few (n, 3) float arrays: ~10 MB at the bound
-# numpy's normal draws stay below 14 in magnitude, so at this noise the squared point-to-mean
-# distances of `detect_centroid`, summed over MAX_POINTS_PER_DETECTION points, stay below
-# ~1e210: inside the float range, which they leave from a noise of ~1e154
-MAX_NOISE_SIGMA = 1e100  # m
-
-
 class NoDetectionError(ValueError):
     """Centroid requested from an empty point set."""
 
@@ -50,19 +43,6 @@ class CameraModel:
     noise_sigma: float = 0.0  # m, isotropic per-point noise
     points_per_detection: int = 50
     mount_pitch: float = 0.0  # rad, down-tilt relative to the vehicle body
-
-    def __post_init__(self):
-        if not (0.0 < self.horizontal_fov < math.pi) or not (0.0 < self.vertical_fov < math.pi):
-            raise ValueError("FOV angles must lie in (0, pi)")
-        if self.frame_rate <= 0.0:
-            raise ValueError(f"frame_rate must be > 0, got {self.frame_rate}")
-        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
-            raise ValueError(f"camera.noise_sigma: must lie in [0, {MAX_NOISE_SIGMA}], got {self.noise_sigma}")
-        if not 1 <= self.points_per_detection <= MAX_POINTS_PER_DETECTION:
-            raise ValueError(
-                f"camera.points_per_detection: must lie in [1, {MAX_POINTS_PER_DETECTION}], "
-                f"got {self.points_per_detection}"
-            )
 
 
 @dataclass

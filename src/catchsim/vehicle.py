@@ -50,8 +50,6 @@ class UavState:
 
 def hover_init(elevation: float) -> UavState:
     """UAV hovering at the world origin at the given height, facing +x."""
-    if not (math.isfinite(elevation) and elevation > 0.0):
-        raise ValueError(f"elevation must be > 0, got {elevation}")
     return UavState(
         position=np.array([0.0, 0.0, elevation]),
         velocity=np.zeros(3),

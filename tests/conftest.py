@@ -1,7 +1,16 @@
-"""Fixtures shared by the config-loading tests, and the per-tick frame rule
-shared by the frame-schedule and segment tests."""
+"""Fixtures shared by the config-loading tests, the schema and the camera's two
+upper bounds it declares, and the per-tick frame rule shared by the
+frame-schedule and segment tests."""
+
+import json
+from importlib import resources
 
 import pytest
+
+SCHEMA = json.loads(resources.files("catchsim.scenarios").joinpath("schema.json").read_text())
+_CAMERA = SCHEMA["fields"]["camera"]["fields"]
+MAX_NOISE_SIGMA = _CAMERA["noise_sigma"]["max"]  # the most noise a config may load
+MAX_POINTS_PER_DETECTION = _CAMERA["points_per_detection"]["max"]
 
 
 def carries_frame(k: int, dt: float, frame_rate: float) -> bool:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from catchsim import sensor
 from catchsim.cli import SUITE_ORDER, main
 from catchsim.harness import ConfigError, load_config
+from conftest import MAX_NOISE_SIGMA
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -198,20 +198,19 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        bound = sensor.MAX_NOISE_SIGMA
-        assert capsys.readouterr().err == f"error: camera.noise_sigma: must lie in [0, {bound}], got {sigma}\n"
+        assert capsys.readouterr().err == f"error: camera.noise_sigma: must be <= {MAX_NOISE_SIGMA}, got {sigma}\n"
 
     def test_noise_at_the_bound_runs_without_a_warning(self, tmp_path):
         raw = bundled_raw("A")
         raw["max_sim_time"] = 0.5
-        raw["camera"] = {"noise_sigma": sensor.MAX_NOISE_SIGMA}
+        raw["camera"] = {"noise_sigma": MAX_NOISE_SIGMA}
         cfg = write_cfg(tmp_path, "A.json", raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
 
     @pytest.mark.parametrize("sid", ["D", "E"])
-    @pytest.mark.parametrize("sigma, code", [(1e50, 0), (sensor.MAX_NOISE_SIGMA, 0)])
+    @pytest.mark.parametrize("sigma, code", [(1e50, 0), (MAX_NOISE_SIGMA, 0)])
     def test_noisy_throw_runs_without_a_warning(self, sid, sigma, code, tmp_path):
         # predicted paths from such detections run out past the float range; their
         # distances overflow to +inf, which reads as unreachable or far away, and at

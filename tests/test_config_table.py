@@ -3,7 +3,8 @@
 Properties over schema-valid edits of the bundled configs: `to_dict`
 is a fixed point of loading, and it emits exactly the schema's leaves.
 Plus: the schema is the one declaration of each ScenarioConfig default,
-and each nested parameter class's library default equals the schema's.
+each nested parameter class's library default equals the schema's, and
+every default passes its own leaf's check, bounds included.
 """
 
 import dataclasses
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from catchsim.harness import _NESTED, ConfigError, ScenarioConfig, config_from_dict
+from catchsim.harness import _NESTED, ConfigError, ScenarioConfig, _check_leaf, config_from_dict
+from conftest import SCHEMA
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
-SCHEMA = json.loads(resources.files("catchsim.scenarios").joinpath("schema.json").read_text())
 
 
 def bundled_raw(sid):
@@ -46,18 +47,21 @@ EDITABLE = sorted(path for path in LEAVES if path[0] not in ("scenario_id", "pla
 
 
 def leaf_values(node):
-    """Values the schema accepts for one leaf (small ranges, so most edits also load)."""
+    """Values the schema accepts for one leaf: small ranges, so most edits also load,
+    except that a leaf with a max or max_exclusive is drawn up to it."""
     kind = node["type"]
     if "enum" in node:
         return st.sampled_from(node["enum"])
     if kind == "boolean":
         return st.booleans()
     if kind == "integer":
-        return st.integers(node.get("min", 0), node.get("min", 0) + 60)
+        lo = node.get("min", 0)
+        return st.integers(lo, node.get("max", lo + 60))
     if kind == "vec3":
         return st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
     lo = node.get("min", node.get("min_exclusive", -3.0))
-    return st.floats(lo, lo + 3.0, exclude_min="min_exclusive" in node)
+    hi = node.get("max", node.get("max_exclusive", lo + 3.0))
+    return st.floats(lo, hi, exclude_min="min_exclusive" in node, exclude_max="max_exclusive" in node)
 
 
 @st.composite
@@ -108,6 +112,14 @@ def test_schema_default_equals_dataclass_default(path):
     node = LEAVES[path]
     expected = node["default"] if "." in node["attr"] else dataclasses.MISSING
     assert dataclass_default(node["attr"]) == expected
+
+
+@pytest.mark.parametrize(
+    "path", [path for path, node in LEAVES.items() if "default" in node], ids=".".join
+)
+def test_schema_default_lies_within_the_bounds(path):
+    node = LEAVES[path]
+    assert _check_leaf(node["default"], node, ".".join(path)) == node["default"]
 
 
 def test_scenario_config_declares_no_default():

@@ -30,7 +30,7 @@ from catchsim.harness import (
     write_outputs,
 )
 from catchsim.planner import PlanMethod
-from catchsim.sensor import MAX_POINTS_PER_DETECTION
+from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
 
 
 def minimal_a(**extra):
@@ -55,10 +55,25 @@ SCHEMA_REJECTIONS = {
     "infinity": (minimal_a(max_sim_time=INFINITY), "max_sim_time: must be finite, got inf"),
     "min_exclusive": (minimal_a(physics_dt=0), "physics_dt: must be > 0, got 0.0"),
     "min": (minimal_a(camera={"noise_sigma": -1}), "camera.noise_sigma: must be >= 0, got -1.0"),
+    "max": (minimal_a(camera={"noise_sigma": 1e200}), "camera.noise_sigma: must be <= 1e+100, got 1e+200"),
+    "max_exclusive": (
+        minimal_a(camera={"horizontal_fov": math.pi}),
+        "camera.horizontal_fov: must be < 3.141592653589793, got 3.141592653589793",
+    ),
+    "air_density_nonpositive": (
+        minimal_a(environment={"air_density": 0}), "environment.air_density: must be > 0, got 0.0"
+    ),
+    "start_elevation_nonpositive": (
+        minimal_a(uav={"start_elevation": 0}), "uav.start_elevation: must be > 0, got 0.0"
+    ),
     "integer_is_a_float": (minimal_a(seed=1.5), "seed: expected an integer, got 1.5"),
     "integer_is_a_bool": (minimal_a(seed=True), "seed: expected an integer, got True"),
     "integer_below_min": (
         minimal_a(prediction={"queue_capacity": 1}), "prediction.queue_capacity: must be >= 2, got 1"
+    ),
+    "integer_above_max": (
+        minimal_a(camera={"points_per_detection": 100001}),
+        "camera.points_per_detection: must be <= 100000, got 100001",
     ),
     "boolean": (minimal_a(planner={"tilt_coupling": 1}), "planner.tilt_coupling: expected a boolean, got 1"),
     "string": (minimal_a(ball={**BALL_A, "motion": 3}), "ball.motion: expected a string, got 3"),
@@ -80,6 +95,15 @@ SCHEMA_REJECTIONS = {
     "vec3_past_the_float_range": (
         minimal_a(ball={**BALL_A, "position": [4.0, -(10**400), 2.0]}),
         "ball.position: components must be finite, got an integer of 401 digits",
+    ),
+    # a reference area derived from the diameter (none is given) that leaves the float range
+    "derived_area_overflow": (
+        minimal_a(projectile={"diameter": 1e155}),
+        "projectile.diameter: with reference_area omitted, pi D^2 / 4 must be finite and > 0, got inf",
+    ),
+    "derived_area_underflow": (
+        minimal_a(projectile={"diameter": 1e-200}),
+        "projectile.diameter: with reference_area omitted, pi D^2 / 4 must be finite and > 0, got 0.0",
     ),
     "unknown_key_before_fields": (minimal_a(bogus=1, seed=-1), "unknown field 'bogus'"),
     "fields_in_schema_order": (minimal_a(physics_dt=0, seed=-1), "seed: must be >= 0, got -1"),
@@ -243,13 +267,6 @@ class TestConfigValidation:
         raw["prediction"]["t_step"] = raw["prediction"]["max_horizon"] / MAX_PREDICTED_STEPS
         assert config_from_dict(raw, method=PlanMethod.CAT_MOUSE).method is PlanMethod.CAT_MOUSE
 
-    def test_overflowing_reference_area_rejected_at_load(self):
-        raw = bundled_config("A").to_dict()
-        del raw["projectile"]["reference_area"]  # so it is derived from the diameter
-        raw["projectile"]["diameter"] = 1e155  # D**2 overflows
-        with pytest.raises(ConfigError, match="reference_area_A must be finite"):
-            config_from_dict(raw)
-
     @pytest.mark.parametrize("sid", ["A", "D"])
     def test_ground_truth_longer_than_the_bound_rejected_at_load(self, sid):
         raw = bundled_config(sid).to_dict()
@@ -315,12 +332,22 @@ class TestConfigValidation:
             load_config(path)
 
     def test_points_per_detection_above_the_bound_rejected_at_load(self):
+        # each camera upper bound: the first value past it is rejected, naming the field;
+        # the bound itself, or for an exclusive one the nearest float inside, loads
+        edges = {
+            "points_per_detection": (MAX_POINTS_PER_DETECTION + 1, MAX_POINTS_PER_DETECTION),
+            "noise_sigma": (math.nextafter(MAX_NOISE_SIGMA, math.inf), MAX_NOISE_SIGMA),
+            "horizontal_fov": (math.pi, math.nextafter(math.pi, 0.0)),
+            "vertical_fov": (math.pi, math.nextafter(math.pi, 0.0)),
+        }
         raw = bundled_config("A").to_dict()
-        raw["camera"]["points_per_detection"] = MAX_POINTS_PER_DETECTION + 1
-        with pytest.raises(ConfigError, match="camera.points_per_detection"):
-            config_from_dict(raw)
-        raw["camera"]["points_per_detection"] = MAX_POINTS_PER_DETECTION
-        assert config_from_dict(raw).camera.points_per_detection == MAX_POINTS_PER_DETECTION
+        for key, (past, inside) in edges.items():
+            raw["camera"][key] = past
+            with pytest.raises(ConfigError, match=f"^camera.{key}: must be "):
+                config_from_dict(raw)
+            raw["camera"][key] = inside
+        camera = config_from_dict(raw).camera
+        assert {key: getattr(camera, key) for key in edges} == {key: inside for key, (_, inside) in edges.items()}
 
     def test_round_trip_identical_run(self):
         cfg = bundled_config("D")

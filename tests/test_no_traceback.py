@@ -9,8 +9,7 @@ that serialises as strict JSON (no NaN or Infinity). The edited fields
 are the ball, projectile and environment, the two time settings, the
 vehicle's limits, gains, height compensation and start, the camera
 (frame rate, noise, both fields of view, range, mount pitch and points
-per detection up to
-`sensor.MAX_POINTS_PER_DETECTION`), and tilt coupling;
+per detection up to the schema's max), and tilt coupling;
 `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
 most ~16k ticks long. A frame period that is an odd multiple of half a
 step (400 Hz at the bundled 1 ms step, where two ticks tie for one frame)
@@ -25,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
-from catchsim.sensor import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
+from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
 
 SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}

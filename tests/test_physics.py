@@ -241,10 +241,6 @@ class TestStepGroundTruth:
 
 
 class TestValidation:
-    def test_environment_rejects_nonpositive_density(self):
-        with pytest.raises(ValueError):
-            Environment(air_density_rho=0.0)
-
     def test_environment_allows_zero_gravity(self):
         # g = 0 isolates drag in experiments
         assert Environment(gravity_g=0.0).gravity_g == 0.0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from catchsim.physics import ProjectileParams
 from catchsim.sensor import (
-    MAX_NOISE_SIGMA,
     CameraModel,
     NoDetectionError,
     detect_centroid,
@@ -20,7 +19,7 @@ from catchsim.sensor import (
     visible,
 )
 from catchsim.vehicle import UavState
-from conftest import carries_frame
+from conftest import MAX_NOISE_SIGMA, carries_frame
 
 
 def uav_at(p=(0.0, 0.0, 2.0), yaw=0.0, pitch=0.0):
@@ -170,21 +169,13 @@ coordinate = st.floats(-20.0, 20.0)
 position = st.tuples(coordinate, coordinate, coordinate)
 
 
-def camera(noise_sigma, **kwargs):
-    """A camera with any noise, also one past MAX_NOISE_SIGMA, which a config
-    cannot load: it is set after the constructor's check, so the detection
-    functions are tested up to the float range."""
-    cam = CameraModel(**kwargs)
-    cam.noise_sigma = noise_sigma
-    return cam
-
-
 class TestLeanDetectionMatchesReference:
     """The ufunc pipeline against the numpy-wrapper reference: same bytes.
     A noise of 1e200 overflows every squared distance, so the filter drops
     all points and the plain mean (still finite) comes back; 1e308 can
     overflow the mean itself (NaN), which observe reports as no detection.
-    Both lie past MAX_NOISE_SIGMA, the most a config may load."""
+    Both lie past MAX_NOISE_SIGMA, the most a config may load; CameraModel
+    holds any noise it is given."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @settings(max_examples=300, deadline=None)
@@ -203,7 +194,7 @@ class TestLeanDetectionMatchesReference:
     def test_cloud_and_centroid_bytes(self, n, sigma, ball, uav, seed):
         ball = ball_at(ball)
         drone = uav_at(ball if uav is None else uav)
-        cam = camera(sigma, points_per_detection=n)
+        cam = CameraModel(noise_sigma=sigma, points_per_detection=n)
         params = ProjectileParams()
         cloud = sample_point_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
         ref = reference_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
@@ -232,7 +223,7 @@ class TestObserve:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_noise_past_the_float_range_gives_none(self):
-        cam = camera(1e308)
+        cam = CameraModel(noise_sigma=1e308)
         assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, 1) is None
 
     def test_noisy_position_is_the_reference_centroid(self):

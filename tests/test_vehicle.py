@@ -30,10 +30,6 @@ class TestHoverInit:
         assert uav.yaw == 0.0 and uav.pitch == 0.0
         assert -math.pi < uav.yaw <= math.pi
 
-    def test_rejects_nonpositive_elevation(self):
-        with pytest.raises(ValueError):
-            hover_init(0.0)
-
 
 class TestStepUav:
     def test_equilibrium_at_setpoint(self):
