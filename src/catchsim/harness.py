@@ -566,7 +566,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sp = Setpoint(uav.position.copy(), 0.0)
 
     records: list[MetricsRecord] = []
-    i = 0  # index of the ball's current truth sample
     min_distance = float(np.linalg.norm(uav.position - positions[0]))
     last_obs_time: float | None = None
     reason = "max_time"
@@ -575,7 +574,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     # vehicle flies one segment toward a fixed setpoint.
     frame_ticks, stamps = frame_schedule(cam.frame_rate, dt, n_ticks)
     last = len(positions) - 1  # a ballistic truth may end early, at its first sample below ground
-    uav_position = uav.position  # at truth sample i
+    # ground_truth stops at its first sample below ground, so after the start
+    # only its last sample can lie below it: the one tick that can end a run on the ground
+    ground_tick = last if ballistic and positions[last, 2] < cfg.ground_height else None
     # The UAV-ball distance overflows only past ~1.3e154 m. The UAV stays within
     # its reach of the start (in planar2d, give or take a projection's rounding,
     # which grows with the plane point's distance), so one bound on every
@@ -620,41 +621,43 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             height_comp_gain=cfg.height_comp_gain,
             plane=plane,
         )
-        balls = positions[k + 1 : k_next + 1]
-        diff = path - balls
-        # sqrt(x . x) as np.linalg.norm computes it per vector, bit for bit; a
-        # separation past ~1e154 m overflows it to +inf, which is not a hit
+        diff = path - positions[k + 1 : k_next + 1]
+        # a separation past ~1e154 m overflows its square to +inf, which is not a hit
         if may_overflow:
             with np.errstate(over="ignore"):
-                d = np.sqrt(np.vecdot(diff, diff))
+                sq = np.vecdot(diff, diff)
         else:
-            d = np.sqrt(np.vecdot(diff, diff))
-        hit = d <= limits.intercept_radius
-        flagged = hit
-        if ballistic:
-            grounded = balls[:, 2] < cfg.ground_height
-            flagged = flagged | grounded
+            sq = np.vecdot(diff, diff)
+        # IEEE sqrt rounds correctly, hence is monotone: the sqrt of the least square is
+        # the least distance sqrt(x . x), each bit for bit what np.linalg.norm gives
+        seg_min = math.sqrt(float(np.minimum.reduce(sq)))
         # i * dt never decreases as i grows (an int64 and a Python int round
         # alike), so a segment with any tick past the ball-lost timeout has
-        # its last tick past it: one scalar test decides whether to build
-        # the per-tick vector
-        if last_obs_time is not None and k_next * dt - last_obs_time > BALL_LOST_TIMEOUT:
-            flagged = flagged | (np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT)
-        # the run ends at the first flagged tick, which argmax finds if there is one;
-        # otherwise the segment is flown in full. The reduction is the ufunc that
-        # ndarray.min calls.
-        j = int(flagged.argmax())
-        ends = flagged[j]
-        if not ends:
-            j = len(d) - 1
-        seg_min = float(np.minimum.reduce(d[: j + 1]))
+        # its last tick past it
+        lost = last_obs_time is not None and k_next * dt - last_obs_time > BALL_LOST_TIMEOUT
+        landed = k_next == ground_tick
+        if seg_min <= limits.intercept_radius or landed or lost:
+            # the segment ends the run, at its first tick that hits, lands or loses the ball
+            d = np.sqrt(sq)
+            hit = d <= limits.intercept_radius
+            flagged = hit.copy()
+            flagged[-1] |= landed
+            if lost:
+                flagged |= np.arange(k + 1, k_next + 1) * dt - last_obs_time > BALL_LOST_TIMEOUT
+            j = int(flagged.argmax())
+            # the reduction is the ufunc that ndarray.min calls
+            seg_min = float(np.minimum.reduce(d[: j + 1]))
+            if seg_min < min_distance:
+                min_distance = seg_min
+            reason = "intercepted" if hit[j] else "ground_impact" if landed and j == len(d) - 1 else "ball_lost"
+            i, uav_position = k + 1 + j, path[j]
+            break
         if seg_min < min_distance:
             min_distance = seg_min
-        i = k + 1 + j
-        uav_position = path[j]
-        if ends:
-            reason = "intercepted" if hit[j] else "ground_impact" if ballistic and grounded[j] else "ball_lost"
-            break
+    else:
+        # no segment ended the run, so the truth outlasts it (a truth that ends
+        # early ends below ground): the UAV is where its last segment left it
+        i, uav_position = n_ticks, uav.position
 
     t_end = i * dt
     intercepted = reason == "intercepted"

@@ -27,7 +27,6 @@ throw once.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -210,7 +209,8 @@ def step_ground_truth(state: BallState, params: ProjectileParams, env: Environme
 class GroundTruth:
     """A ball's true path, one sample per physics step: sample i is at times[i].
 
-    The arrays are read-only, because cached paths are shared between runs.
+    The arrays are C-contiguous and read-only: cached paths are shared
+    between runs.
     """
 
     positions: np.ndarray  # (n, 3) m
@@ -247,7 +247,8 @@ def ground_truth(
 
     A run steps the ball n_ticks times at most; a ballistic path then
     continues for up to tail_time (the arc scored after the run ends), and
-    stops at the first sample after the start below ground_height. Samples
+    stops at the first sample after the start below ground_height: after
+    the start, only the last sample may lie below ground. Samples
     equal, bit for bit, what repeated `step_ground_truth` calls (ballistic),
     `p + v * dt` (linear) or a constant position (frozen) give, with times
     accumulated as `t + dt`. A step that fails raises at once, as stepping
@@ -273,7 +274,7 @@ def ground_truth(
     if motion is BallMotion.BALLISTIC:
         px, py, pz = p0.tolist()
         vx, vy, vz = v0.tolist()
-        samples = array("d", (px, py, pz, vx, vy, vz))
+        samples = [px, py, pz]  # x, y, z of each sample in turn
         accel = drag_accel(params, env)
         isfinite = math.isfinite
         for _ in range(truth_length(motion, dt, n_ticks, tail_time) - 1):
@@ -281,14 +282,14 @@ def ground_truth(
             if not (isfinite(px) and isfinite(py) and isfinite(pz)
                     and isfinite(vx) and isfinite(vy) and isfinite(vz)):
                 raise ValueError(_NONFINITE_STATE)
-            samples.extend((px, py, pz, vx, vy, vz))
+            samples += (px, py, pz)
             if pz < ground_height:
                 break
-        positions = np.frombuffer(samples).reshape(-1, 6)[:, :3].copy()
+        positions = np.fromiter(samples, float, len(samples)).reshape(-1, 3)
     else:
         n = n_ticks + 1
         if motion is BallMotion.FROZEN:
-            positions = np.broadcast_to(p0, (n, 3))
+            positions = np.tile(p0, (n, 1))
         else:
             increments = np.empty((n, 3))
             increments[0] = p0

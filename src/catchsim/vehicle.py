@@ -12,7 +12,6 @@ to pitch (``height_comp_gain``).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -145,7 +144,7 @@ def fly(
     target_yaw = sp.target_yaw
     settled = False
     pitch_each_tick = height_comp_gain != 0.0  # otherwise no tick reads it: only the last is kept
-    positions = array("d")
+    positions = []  # x, y, z of each step in turn
     if plane is not None:
         p0, n_hat = plane
         p0x, p0y, p0z = (float(c) for c in p0)
@@ -221,9 +220,9 @@ def fly(
             row[0], row[1], row[2] = vx, vy, vz
             s = float(n_hat.dot(row))
             vx, vy, vz = vx - s * nx, vy - s * ny, vz - s * nz
-        positions.extend((px, py, pz))
+        positions += (px, py, pz)
 
     if n > 0 and not pitch_each_tick:
         pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
     final = UavState(np.array((px, py, pz)), np.array((vx, vy, vz)), yaw, pitch)
-    return final, np.frombuffer(positions).reshape(n, 3)
+    return final, np.fromiter(positions, float, 3 * n).reshape(n, 3)

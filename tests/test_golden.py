@@ -1,13 +1,14 @@
 """Golden outputs: the trace and summary bytes of pinned runs.
 
 Each bundled config's `trace_csv` text and its summary, serialised as
-`write_outputs` writes it, are pinned by sha256. So are two corpora, one
+`write_outputs` writes it, are pinned by sha256. So are three corpora, one
 sha256 each over the concatenated outputs: D and E over noise seeds
-1-50, and the six bundled configs under each of five edits that move
-the control loop's timing or the vehicle recursion (height
-compensation, tilt coupling off, a frame rate whose period is not a
-whole number of ticks, a physics step that does not divide the frame
-period, and a run shorter than two frames). A third corpus pins the
+1-50, the chases A, B and C over noise seeds 1-20 (the scenarios of
+perfbench's chase workload), and the six bundled configs under each of five
+edits that move the control loop's timing or the vehicle recursion
+(height compensation, tilt coupling off, a frame rate whose period is
+not a whole number of ticks, a physics step that does not divide the
+frame period, and a run shorter than two frames). A fourth corpus pins the
 CLI's `--method` override: bundled A-E under each of the three
 planning methods, plus planar2d under its only one, shortest path,
 each passed to `config_from_dict` as `method=`. Any change to the
@@ -59,6 +60,7 @@ GOLDEN = {
 
 
 SEEDS_SHA256 = "f571b5ffaf841304bda8fcc17f9504f66406ea31765d52e35e545ea63686c88b"
+CHASE_SEEDS_SHA256 = "e4d30ad710d7d071426a84a3169b3dfab935e7c12ca8e330b3a43216b9790904"
 EDITED_SHA256 = "eadd48ef602c577203a02524074b91fb4ef7199178ecf521e82f51cb86bb7af6"
 EDITS = (
     (("uav", "height_comp_gain"), 0.5),
@@ -101,6 +103,16 @@ def test_thrown_seed_sweep_is_byte_identical():
             raw["seed"] = seed
             h.update(_outputs(raw))
     assert h.hexdigest() == SEEDS_SHA256
+
+
+def test_chase_seed_sweep_is_byte_identical():
+    h = hashlib.sha256()
+    for sid in ("A", "B", "C"):
+        raw = _bundled_raw(sid)
+        for seed in range(1, 21):
+            raw["seed"] = seed
+            h.update(_outputs(raw))
+    assert h.hexdigest() == CHASE_SEEDS_SHA256
 
 
 def test_edited_configs_are_byte_identical():

@@ -176,6 +176,7 @@ def test_every_key_field_gets_its_own_entry():
 def test_arrays_are_read_only():
     for sid in ("A", "B", "D"):
         truth = ground_truth(*truth_args(bundled_config(sid)))
+        assert truth.positions.shape == (len(truth.times), 3) and truth.positions.flags.c_contiguous
         for a in (truth.positions, truth.times):
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 """The engine's per-frame segments against a per-tick reference loop.
 
 `run_scenario` flies the vehicle one frame segment at a time and checks
-termination over the whole segment at once. `per_tick` replays a run the
-way the engine once stepped it: every tick it applies the frame gate (the
-first tick of a new frame that `carries_frame`), one
-`step_uav` call (plus the planar projection) toward the setpoint recorded
-at the latest frame, and the three termination checks. Planning is not
-redone; the recorded setpoints are replayed. The run must agree with the
-replay bit for bit: frame ticks, the UAV position at every frame, the
-reason, the last tick, `min_distance` and the final UAV position.
+termination once per segment, from its least distance, its last tick and
+the ball-lost deadline; only a segment that ends the run is checked tick
+by tick. `per_tick` replays a run the way the engine once stepped it:
+every tick it applies the frame gate (the first tick of a new frame that
+`carries_frame`), one `step_uav` call (plus the planar projection)
+toward the setpoint recorded at the latest frame, and the three
+termination checks. Planning is not redone; the recorded setpoints are
+replayed. The run must agree with the replay bit for bit: frame ticks,
+the UAV position at every frame, the reason, the last tick,
+`min_distance` and the final UAV position.
 
 The bundled planar2d plane has the normal (1, 0, 0), which makes every
 projection dot product exact, so the tilted planes below are the runs
@@ -35,13 +37,18 @@ def bundled_raw(sid: str) -> dict:
     return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
 
 
+def truth_of(cfg) -> np.ndarray:
+    n_ticks = int(round(cfg.max_sim_time / cfg.physics_dt))
+    return ground_truth(
+        cfg.ball_motion, cfg.ball_position, cfg.ball_velocity, cfg.projectile, cfg.environment,
+        cfg.physics_dt, cfg.ground_height, n_ticks, cfg.max_horizon,
+    ).positions
+
+
 def per_tick(cfg, result) -> dict:
     dt, fr = cfg.physics_dt, cfg.camera.frame_rate
     n_ticks = int(round(cfg.max_sim_time / dt))
-    truth = ground_truth(
-        cfg.ball_motion, cfg.ball_position, cfg.ball_velocity, cfg.projectile, cfg.environment, dt,
-        cfg.ground_height, n_ticks, cfg.max_horizon,
-    ).positions
+    truth = truth_of(cfg)
     ballistic = cfg.ball_motion is BallMotion.BALLISTIC
     frames = iter(result.records[:-1])
     uav = hover_init(cfg.start_elevation)
@@ -186,6 +193,41 @@ def test_ground_impact_inside_the_first_segment():
     assert result.termination_reason == "ground_impact"
     assert ref["frame_ticks"] == [0]
     assert 1 < ref["last_tick"] < 33
+
+
+def test_ground_impact_on_the_last_tick_of_a_segment():
+    # a ball dropped from rest, with the ground between its heights at a frame
+    # tick and the tick before: it lands on the last tick of a segment
+    cfg = config_from_dict(edited("A", ball__motion="ballistic", prediction__ground_height=-100.0))
+    z = truth_of(cfg)[:, 2]
+    frame = 333  # the tenth frame after tick 0 at 30 Hz and 1 ms
+    raw = edited("A", ball__motion="ballistic", prediction__ground_height=(z[frame - 1] + z[frame]) / 2)
+    cfg, result, ref = run_and_replay(raw)
+    assert result.termination_reason == "ground_impact"
+    assert ref["last_tick"] == frame
+    assert segment_position(cfg, frame) == "last"
+
+
+def test_ball_that_starts_below_ground():
+    # the start sample is never checked: the run ends on tick 1, still below ground
+    raw = edited("A", ball__motion="ballistic", ball__position=[4.0, 0.0, -0.5])
+    _, result, ref = run_and_replay(raw)
+    assert result.termination_reason == "ground_impact"
+    assert ref["last_tick"] == 1
+
+
+def test_thrown_ball_that_never_lands():
+    # without gravity the ball flies level: its truth outlasts the run with no
+    # sample below ground, and the run ends at max_sim_time
+    raw = edited(
+        "A", ball__motion="ballistic", ball__velocity=[0.0, 1.0, 0.0], max_sim_time=1.0,
+        environment__gravity=0.0, planner__tilt_coupling=False,
+    )
+    cfg, result, ref = run_and_replay(raw)
+    truth = truth_of(cfg)
+    assert len(truth) > ref["last_tick"] + 1 and truth[-1, 2] >= cfg.ground_height
+    assert result.termination_reason == "max_time"
+    assert ref["last_tick"] == 1000
 
 
 def test_ball_lost_deadline_mid_segment():

@@ -265,7 +265,7 @@ class TestFly:
         final, path = fly(*args)
         expected, expected_path = reference_fly(*args)
         assert bits(final) == bits(expected)
-        assert path.shape == (n, 3)
+        assert path.shape == (n, 3) and path.dtype == np.float64 and path.flags.c_contiguous
         assert path.tobytes() == expected_path.tobytes()
 
     def test_a_yaw_on_its_target_still_slews_once(self):
@@ -279,7 +279,8 @@ class TestFly:
     def test_zero_steps(self):
         uav = hover_init(2.0)
         final, path = fly(uav, setpoint([1.0, 0.0, 2.0]), UavLimits(), 0.01, 0)
-        assert bits(final) == bits(uav) and path.shape == (0, 3)
+        assert bits(final) == bits(uav)
+        assert path.shape == (0, 3) and path.dtype == np.float64 and path.flags.c_contiguous
 
     def test_overflowing_command_is_clamped_along_it(self):
         # kp * error overflows: the command still points at the target, at max_accel
