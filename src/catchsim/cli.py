@@ -3,8 +3,9 @@
 Subcommands:
   run    - execute one scenario config, writing <id>_trace.csv and
            <id>_summary.json into the output directory. The scenario id
-           fixes the planning method and yaw; --method overrides the
-           method for this run only (planar2d takes only shortest).
+           fixes the planning method and yaw; --method picks another
+           method for this run only, where the scenario has one: D and E
+           take all three, A-C only cat_mouse, planar2d only shortest.
   suite  - run the six bundled scenarios (or a directory of configs) and
            write a suite_report.json; exit 0 only if every scenario meets
            its expected outcome shape. Its --seed takes run's override
@@ -140,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=sorted(_METHOD_ALIASES),
         default=None,
-        help="override the planning method the scenario id fixes (planar2d takes only shortest)",
+        help="override the planning method the scenario id fixes (D and E take all three, "
+        "A-C only cat_mouse, planar2d only shortest)",
     )
     p_run.add_argument(
         "--no-tilt-coupling", action="store_true", help="disable acceleration-induced camera tilt"

@@ -32,7 +32,9 @@ from .physics import (
     Environment,
     GroundTruth,
     ProjectileParams,
+    dot3,
     ground_truth,
+    norm3,
     step_ground_truth,  # noqa: F401  # the per-step integrator, kept bound here for perfbench/spans.py
     truth_length,
 )
@@ -93,14 +95,17 @@ class ScenarioId(str, Enum):
     PLANAR2D = "planar2d"
 
 
-# Each scenario's planning method; only the CLI's --method overrides it.
-_SCENARIO_METHOD = {
-    ScenarioId.A: PlanMethod.CAT_MOUSE,
-    ScenarioId.B: PlanMethod.CAT_MOUSE,
-    ScenarioId.C: PlanMethod.CAT_MOUSE,
-    ScenarioId.D: PlanMethod.SHORTEST_PATH,
-    ScenarioId.E: PlanMethod.FASTEST_PATH,
-    ScenarioId.PLANAR2D: PlanMethod.SHORTEST_PATH,
+# The planning methods each scenario takes, its own first; only the CLI's --method picks
+# another. A-C chase a frozen or linear ball, which `predict_path` (gravity always on)
+# cannot follow: a predictive method would find no reachable point on any frame and fall
+# back to cat & mouse. planar2d's plane-crossing planner is its shortest path.
+_ALLOWED_METHODS = {
+    ScenarioId.A: (PlanMethod.CAT_MOUSE,),
+    ScenarioId.B: (PlanMethod.CAT_MOUSE,),
+    ScenarioId.C: (PlanMethod.CAT_MOUSE,),
+    ScenarioId.D: (PlanMethod.SHORTEST_PATH, PlanMethod.FASTEST_PATH, PlanMethod.CAT_MOUSE),
+    ScenarioId.E: (PlanMethod.FASTEST_PATH, PlanMethod.SHORTEST_PATH, PlanMethod.CAT_MOUSE),
+    ScenarioId.PLANAR2D: (PlanMethod.SHORTEST_PATH,),
 }
 
 
@@ -277,8 +282,9 @@ def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioCon
     One schema walk checks and types each leaf once; an omitted one gets
     the schema's default, the only declaration of it. Unknown fields are
     rejected. The scenario id fixes the planning method and whether cat &
-    mouse yaws; `method` (the CLI's --method) overrides the method, except
-    in planar2d, whose plane-crossing planner takes only shortest_path.
+    mouse yaws; `method` (the CLI's --method) picks another method the
+    scenario takes (`_ALLOWED_METHODS`): D and E take all three, A-C only
+    cat_mouse and planar2d only shortest_path.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
@@ -287,9 +293,12 @@ def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioCon
     sid = kwargs["scenario_id"] = ScenarioId(kwargs["scenario_id"])
     kwargs["ball_motion"] = BallMotion(kwargs["ball_motion"])
 
-    method = kwargs["method"] = _SCENARIO_METHOD[sid] if method is None else PlanMethod(method)
-    if sid is ScenarioId.PLANAR2D and method is not PlanMethod.SHORTEST_PATH:
-        raise ConfigError(f"planner.method: scenario planar2d requires 'shortest_path', got '{method.value}'")
+    allowed = _ALLOWED_METHODS[sid]
+    method = kwargs["method"] = allowed[0] if method is None else PlanMethod(method)
+    if method not in allowed:
+        raise ConfigError(
+            f"planner.method: scenario {sid.value} takes only {[m.value for m in allowed]}, got '{method.value}'"
+        )
 
     point, normal = kwargs["plane_point"], kwargs["plane_normal"]
     if sid is ScenarioId.PLANAR2D:
@@ -318,10 +327,10 @@ def _validate_semantics(cfg: ScenarioConfig):
         raise ConfigError("environment.gravity: must be > 0 while planner.tilt_coupling is on")
     if cfg.scenario_id is ScenarioId.PLANAR2D:
         n = cfg.plane_normal
-        if abs(np.linalg.norm(n) - 1.0) > 1e-6:
+        if abs(norm3(n) - 1.0) > 1e-6:
             raise ConfigError("plane.normal: must be a unit vector")
         start = np.array([0.0, 0.0, cfg.start_elevation])
-        if abs(float((start - cfg.plane_point) @ n)) > 1e-6:
+        if abs(dot3(start - cfg.plane_point, n)) > 1e-6:
             raise ConfigError("plane: the UAV start position (0, 0, start_elevation) must lie on the plane")
     tail = cfg.max_horizon if cfg.ball_motion is BallMotion.BALLISTIC else 0.0
     # the float ratio first: past the float range there is no tick count to round to
@@ -334,7 +343,7 @@ def _validate_semantics(cfg: ScenarioConfig):
         )
     # distances are norms, so their squares must stay in the float range
     with np.errstate(over="ignore"):
-        start_distance = float(np.linalg.norm(cfg.ball_position - hover_init(cfg.start_elevation).position))
+        start_distance = norm3(cfg.ball_position - hover_init(cfg.start_elevation).position)
     if not math.isfinite(start_distance):
         raise ConfigError("ball: its distance from the UAV start position is past the float range")
     reach = cfg.limits.max_speed * (cfg.max_sim_time + cfg.physics_dt)
@@ -489,7 +498,7 @@ def prediction_error(predicted_point: np.ndarray, true_trajectory: np.ndarray) -
         raise ValueError("true_trajectory must be non-empty")
     point = np.asarray(predicted_point, dtype=float)
     if len(vertices) == 1:
-        return float(np.linalg.norm(point - vertices[0]))
+        return norm3(point - vertices[0])
     return _point_to_polyline(point, _segments(vertices))
 
 
@@ -566,7 +575,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sp = Setpoint(uav.position.copy(), 0.0)
 
     records: list[MetricsRecord] = []
-    min_distance = float(np.linalg.norm(uav.position - positions[0]))
+    min_distance = norm3(uav.position - positions[0])
     last_obs_time: float | None = None
     reason = "max_time"
 
@@ -622,14 +631,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             plane=plane,
         )
         diff = path - positions[k + 1 : k_next + 1]
-        # a separation past ~1e154 m overflows its square to +inf, which is not a hit
+        # each row's squared length, summed as dot3 sums; a separation past
+        # ~1e154 m overflows its square to +inf, which is not a hit
         if may_overflow:
             with np.errstate(over="ignore"):
-                sq = np.vecdot(diff, diff)
+                diff *= diff
+                sq = np.add.reduce(diff, axis=1)
         else:
-            sq = np.vecdot(diff, diff)
+            diff *= diff
+            sq = np.add.reduce(diff, axis=1)
         # IEEE sqrt rounds correctly, hence is monotone: the sqrt of the least square is
-        # the least distance sqrt(x . x), each bit for bit what np.linalg.norm gives
+        # the least distance, each bit for bit what norm3 gives
         seg_min = math.sqrt(float(np.minimum.reduce(sq)))
         # i * dt never decreases as i grows (an int64 and a Python int round
         # alike), so a segment with any tick past the ball-lost timeout has
@@ -732,8 +744,7 @@ def _plan_predictive(cfg, queue, obs, uav, sp, stop, now):
     predicted_point = path.positions[chosen_idx].copy()
     target, index = predicted_point, chosen_idx
     if sp.path_index is not None:
-        step = predicted_point - sp.target_position
-        moved = math.sqrt(step.dot(step)) > cfg.hysteresis_dist  # np.linalg.norm(step), bit for bit
+        moved = norm3(predicted_point - sp.target_position) > cfg.hysteresis_dist
         if not moved and not _old_target_left_region(sp, path, region):
             target, index = sp.target_position, sp.path_index
     # methods 2 & 3 always yaw to keep the object in view
@@ -767,7 +778,7 @@ def _fill_planar_errors(cfg, records, truth_arr, dt):
     true_pos = true_crossing[0]
     for rec in records:
         if rec.predicted_point is not None:
-            rec.prediction_error = float(np.linalg.norm(rec.predicted_point - true_pos))
+            rec.prediction_error = norm3(rec.predicted_point - true_pos)
 
 
 # ---------------------------------------------------------------------------

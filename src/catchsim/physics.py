@@ -11,6 +11,8 @@ with Re = V D / nu and drag magnitude D_r = 1/2 rho Cd V^2 A.
 `drag_coefficient` computes each of the three scaled Reynolds numbers
 (Re/5, Re/2.63e5, Re/1e6) once and shares it between the numerator and
 the denominator of its term; the terms add left to right as written.
+`dot3` and `norm3` are the one form of a 3-term dot product and norm
+that every layer uses.
 
 `drag_accel` binds this model to one ball and one air once, as a
 function of velocity; the RK4 ground truth and the predictor each bind
@@ -115,6 +117,25 @@ class BallState:
             raise ValueError("position and velocity must be 3-vectors")
         if not all(map(math.isfinite, (*self.position.tolist(), *self.velocity.tolist(), self.time))):
             raise ValueError(_NONFINITE_STATE)
+
+
+def dot3(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two 3-vectors as the float sum (a0 b0 + a1 b1) + a2 b2.
+
+    This is the one form of every 3-term dot product and norm in a run; rows
+    of three take it as np.add.reduce(a * b, axis=1), which adds each row
+    left to right. numpy's matrix and vector products and its 1-D norm call
+    BLAS, whose kernel, and with it whether the multiply-adds are fused, is
+    picked for the CPU at run time.
+    """
+    ax, ay, az = a.tolist()
+    bx, by, bz = b.tolist()
+    return (ax * bx + ay * by) + az * bz
+
+
+def norm3(a: np.ndarray) -> float:
+    """The Euclidean norm of a 3-vector, sqrt(dot3(a, a))."""
+    return math.sqrt(dot3(a, a))
 
 
 def drag_coefficient(Re: float) -> float:

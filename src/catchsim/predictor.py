@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import BallState, Environment, ProjectileParams, drag_accel
+from .physics import BallState, Environment, ProjectileParams, drag_accel, norm3
 from .sensor import Observation
 
 
@@ -210,11 +210,11 @@ def plane_crossing(
     crosses.
     """
     plane_normal = np.asarray(plane_normal, dtype=float)
-    if abs(np.linalg.norm(plane_normal) - 1.0) > 1e-6:
+    if abs(norm3(plane_normal) - 1.0) > 1e-6:
         raise ValueError("plane_normal must have unit norm")
     plane_point = np.asarray(plane_point, dtype=float)
 
-    s = (path.positions - plane_point) @ plane_normal
+    s = np.add.reduce((path.positions - plane_point) * plane_normal, axis=1)  # each row's dot3
     on_plane = np.flatnonzero(s == 0.0)
     sign_flip = np.flatnonzero(s[:-1] * s[1:] < 0.0)
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .physics import ProjectileParams
+from .physics import ProjectileParams, norm3
 
 if TYPE_CHECKING:
     from .vehicle import UavState
@@ -133,22 +133,18 @@ def sample_point_cloud(
     them (the run passes its (seed, tick) that way), which gives the same
     stream as the ints.
 
-    numpy's ufuncs are called directly and round as its wrappers do:
-    `sqrt(to_cam . to_cam)` is the 1-D `np.linalg.norm`, and
-    `sqrt(add.reduce(x * x, axis=1))` its `axis=1` form, taken in place.
-    Each row is scaled by a radius of -r or r, which is r times the row
-    mirrored onto the camera-facing hemisphere, since (-r) * d is -(r * d);
-    the ball position and the noise are then added in place. The reductions
-    and the `@` stay numpy's: `np.vecdot` sums each row as the 1-D norm
-    does, up to 2 ulp off the `axis=1` norm on about one row in ten, and
-    BLAS fuses the multiply-adds of `@`, so a float sum of products rounds
-    differently.
+    `to_cam`'s length is `norm3`, and each row's norm and its dot product
+    with `to_cam` are the same float sum taken by `add.reduce(..., axis=1)`,
+    the norms in place. Each row is scaled by a radius of r signed as its
+    dot product, which is r times the row mirrored onto the camera-facing
+    hemisphere, since (-r) * d is -(r * d); a dot product of -0.0 mirrors
+    its row too. The ball position and the noise are then added in place.
     """
     rng = np.random.default_rng(rng_seed)
     n = cam.points_per_detection
 
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
-    norm = math.sqrt(to_cam.dot(to_cam))
+    norm = norm3(to_cam)
     if norm == 0.0:
         to_cam = np.array([1.0, 0.0, 0.0])
     else:
@@ -162,7 +158,7 @@ def sample_point_cloud(
 
     # a radius of -r mirrors a row that faces away onto the camera-facing hemisphere
     r = 0.5 * params.diameter_D
-    np.multiply(dirs, np.where(dirs @ to_cam < 0.0, -r, r)[:, None], out=dirs)
+    np.multiply(dirs, np.copysign(r, np.add.reduce(dirs * to_cam, axis=1))[:, None], out=dirs)
     dirs += ball_position
     if cam.noise_sigma > 0.0:
         dirs += rng.normal(scale=cam.noise_sigma, size=(n, 3))

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .physics import dot3
+
 if TYPE_CHECKING:
     from .planner import Setpoint, UavLimits
 
@@ -59,7 +61,7 @@ def hover_init(elevation: float) -> UavState:
 
 def project_to_plane(p: np.ndarray, p0: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
     """p projected onto the plane through p0 with unit normal n_hat."""
-    return p - float((p - p0) @ n_hat) * n_hat
+    return p - dot3(p - p0, n_hat) * n_hat
 
 
 def _clamp_exact(build, limit: float) -> tuple[float, float, float]:
@@ -118,10 +120,9 @@ def fly(
     computed.
     With a plane (point, unit normal), position and velocity are
     projected onto it after every step, as `project_to_plane` would: each
-    offset from the plane is numpy's dot product (BLAS ``ddot``, which fuses
-    its multiply-adds, so a float sum of products rounds differently),
-    while the subtractions and scalings around it round alike as floats
-    and as numpy's element-wise ufuncs. A command or velocity whose float
+    offset from the plane is `dot3`'s float sum, written inline, and the
+    subtractions and scalings around it round alike as floats and as
+    numpy's element-wise ufuncs. A command or velocity whose float
     norm overflows is clamped in exact arithmetic, so it keeps its
     direction.
     Everything else is Python float arithmetic, in the order written: one
@@ -149,7 +150,6 @@ def fly(
         p0, n_hat = plane
         p0x, p0y, p0z = (float(c) for c in p0)
         nx, ny, nz = (float(c) for c in n_hat)
-        row = np.empty(3)  # each vector the dot product takes, written in place
 
     for _ in range(n):
         if pitch_each_tick:
@@ -213,12 +213,9 @@ def fly(
             pitch = math.atan(math.hypot(ax, ay) / gravity_g) if tilt_coupling else 0.0
 
         if plane is not None:
-            # numpy's dot (a fused multiply-add in BLAS), not a float sum: it rounds differently
-            row[0], row[1], row[2] = px - p0x, py - p0y, pz - p0z
-            s = float(n_hat.dot(row))
+            s = ((px - p0x) * nx + (py - p0y) * ny) + (pz - p0z) * nz
             px, py, pz = px - s * nx, py - s * ny, pz - s * nz
-            row[0], row[1], row[2] = vx, vy, vz
-            s = float(n_hat.dot(row))
+            s = (vx * nx + vy * ny) + vz * nz
             vx, vy, vz = vx - s * nx, vy - s * ny, vz - s * nz
         positions += (px, py, pz)
 

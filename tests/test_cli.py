@@ -149,8 +149,17 @@ class TestRun:
         assert t7 == t7b  # same seed is reproducible
 
     def test_method_override_bypasses_mapping(self, tmp_path):
-        cfg = write_cfg(tmp_path, "A.json", bundled_raw("A"))
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", "shortest"]) == 0
+        cfg = write_cfg(tmp_path, "D.json", bundled_raw("D"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", "fastest"]) == 0
+
+    @pytest.mark.parametrize("method", ["shortest", "fastest"])
+    def test_chase_predictive_method_override_exits_2(self, method, tmp_path, capsys):
+        # A-C alike take only cat_mouse (tests/test_harness.py checks each)
+        cfg = write_cfg(tmp_path, "C.json", bundled_raw("C"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m"), "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: planner.method") and f"'{method}_path'" in err, err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("method", ["cat_mouse", "fastest"])
     def test_planar2d_method_override_exits_2(self, method, tmp_path, capsys):

@@ -9,22 +9,31 @@ edits that move the control loop's timing or the vehicle recursion
 (height compensation, tilt coupling off, a frame rate whose period is
 not a whole number of ticks, a physics step that does not divide the
 frame period, and a run shorter than two frames). A fourth corpus pins the
-CLI's `--method` override: bundled A-E under each of the three
-planning methods, plus planar2d under its only one, shortest path,
-each passed to `config_from_dict` as `method=`. Any change to the
+CLI's `--method` override: each bundled config under every method its
+scenario takes (D and E all three, A-C only cat & mouse, planar2d only
+shortest path), each passed to `config_from_dict` as `method=`. Any change to the
 physics, sensor, predictor, planner, vehicle, engine or output format
 that moves a single printed bit fails here; a deliberate change must
 re-record the hashes and say why.
 
-Recorded with Python 3.11.7 and numpy 2.4.6 (x86-64). Other numpy or
-libm versions may round transcendental functions differently in the
+Recorded with Python 3.11.7 and numpy 2.4.6 (x86-64). The bytes depend
+on numpy's version and on the libm it calls: another version may round
+a transcendental function or an element-wise ufunc differently in the
 last ulp, which shifts the printed floats; re-record on such a platform
-rather than loosening the comparison.
+rather than loosening the comparison. They do not depend on the BLAS
+kernel numpy's OpenBLAS picks for the CPU, since no run calls BLAS:
+every 3-term dot product is the float sum `physics.dot3` takes.
+`test_bundled_outputs_match_under_other_blas_kernels` checks that in
+child processes that force two other kernels.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -53,15 +62,15 @@ GOLDEN = {
         "2df7c62c4fd861feea8ada708962162b835a437710d7881fcc41326a6f70579a",
     ),
     "planar2d": (
-        "ed890c686fd7058aa612a03bfb8aae46671302d44990bc4ce3000304309b428a",
+        "56f354c7e2ccf6080af93fe9477e37bd34a171416ae1738ecbd27d031d80ef5c",
         "882990fd0109ef9c28f0a3022b1693f560ba336908915a8b2775b116d712a54f",
     ),
 }
 
 
-SEEDS_SHA256 = "f571b5ffaf841304bda8fcc17f9504f66406ea31765d52e35e545ea63686c88b"
-CHASE_SEEDS_SHA256 = "e4d30ad710d7d071426a84a3169b3dfab935e7c12ca8e330b3a43216b9790904"
-EDITED_SHA256 = "eadd48ef602c577203a02524074b91fb4ef7199178ecf521e82f51cb86bb7af6"
+SEEDS_SHA256 = "4687475ddb802e534694b460393dc55a5e873777b346a408671b35e7e6d07480"
+CHASE_SEEDS_SHA256 = "d209123bcfd16320c34fc8367d9303341e88bf5059c9e13976afa191cd897087"
+EDITED_SHA256 = "4747fd76dd50a0cd79e38c466911ad221c8e23e407aec0e951671ebbec2241e6"
 EDITS = (
     (("uav", "height_comp_gain"), 0.5),
     (("planner", "tilt_coupling"), False),
@@ -69,10 +78,23 @@ EDITS = (
     (("physics_dt",), 0.0007),
     (("max_sim_time",), 0.05),
 )
-METHODS_SHA256 = "54335e6ceefa7f5ba1f56f8b7b9f69d2ebfd3b7f76ff731b02a2ea8762494585"
-METHOD_RUNS = [(sid, method) for sid in ("A", "B", "C", "D", "E") for method in PlanMethod] + [
-    ("planar2d", PlanMethod.SHORTEST_PATH)
-]
+METHODS_SHA256 = "66b99531af635ba6779a2a7adb51e2a997b1aaec714465799ff4ca3d1189cc76"
+METHOD_RUNS = (
+    [(sid, PlanMethod.CAT_MOUSE) for sid in ("A", "B", "C")]
+    + [(sid, method) for sid in ("D", "E") for method in PlanMethod]
+    + [("planar2d", PlanMethod.SHORTEST_PATH)]
+)
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Prints each bundled config's outputs, as _outputs makes them, as one JSON object by scenario id
+BUNDLED_OUTPUTS = """
+import json, sys
+from catchsim.harness import bundled_config, run_scenario, summary_dict, trace_csv
+out = {}
+for sid in sys.argv[1:]:
+    result = run_scenario(bundled_config(sid))
+    out[sid] = trace_csv(result) + json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\\n"
+json.dump(out, sys.stdout)
+"""
 
 
 def _sha256(text: str) -> str:
@@ -133,3 +155,25 @@ def test_method_overrides_are_byte_identical():
     for sid, method in METHOD_RUNS:
         h.update(_outputs(_bundled_raw(sid), method))
     assert h.hexdigest() == METHODS_SHA256
+
+
+def test_bundled_outputs_match_under_other_blas_kernels():
+    # OPENBLAS_CORETYPE picks the kernel numpy's OpenBLAS runs, for the child
+    # process alone; Haswell and Prescott round a 3-term dot product
+    # differently from each other and from an AVX-512 host's SkylakeX kernel
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    children = {
+        core: subprocess.Popen(
+            [sys.executable, "-c", BUNDLED_OUTPUTS, *GOLDEN],
+            env={**env, "OPENBLAS_CORETYPE": core}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for core in ("Haswell", "Prescott")
+    }
+    here = {sid: _outputs(_bundled_raw(sid)).decode() for sid in GOLDEN}
+    for core, child in children.items():
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        there = json.loads(stdout)
+        for sid in GOLDEN:
+            assert there[sid] == here[sid], f"{sid} under OPENBLAS_CORETYPE={core}"

@@ -33,6 +33,12 @@ from catchsim.planner import PlanMethod
 from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
 
 
+# the predictive methods, which the chases A-C do not take
+CHASE_PREDICTIVE_RUNS = [
+    (sid, method) for sid in ("A", "B", "C") for method in (PlanMethod.FASTEST_PATH, PlanMethod.SHORTEST_PATH)
+]
+
+
 def minimal_a(**extra):
     raw = {
         "scenario_id": "A",
@@ -146,7 +152,8 @@ class TestConfigValidation:
         # the id fixes the method: a file cannot set one, the method argument overrides it
         with pytest.raises(ConfigError, match="unknown field 'planner.method'"):
             config_from_dict(minimal_a(planner={"method": "shortest_path"}))
-        assert config_from_dict(minimal_a(), method=PlanMethod.SHORTEST_PATH).method is PlanMethod.SHORTEST_PATH
+        raw = bundled_config("D").to_dict()
+        assert config_from_dict(raw, method=PlanMethod.FASTEST_PATH).method is PlanMethod.FASTEST_PATH
         methods = {sid: bundled_config(sid).method.value for sid in ("A", "B", "C", "D", "E", "planar2d")}
         assert methods == {
             "A": "cat_mouse", "B": "cat_mouse", "C": "cat_mouse",
@@ -309,6 +316,17 @@ class TestConfigValidation:
         result = run_scenario(config_from_dict(raw))
         assert len(result.records) == round(result.records[-1].time / raw["physics_dt"]) + 1
 
+    @pytest.mark.parametrize(
+        "sid, method", CHASE_PREDICTIVE_RUNS, ids=[f"{sid}-{m.value}" for sid, m in CHASE_PREDICTIVE_RUNS]
+    )
+    def test_chase_rejects_a_predictive_method(self, sid, method):
+        # a frozen or linear ball has no reachable prediction on any frame, so
+        # the method would only add a prediction per frame to cat & mouse
+        raw = bundled_config(sid).to_dict()
+        with pytest.raises(ConfigError, match=f"planner.method: scenario {sid} .*'{method.value}'"):
+            config_from_dict(raw, method=method)
+        assert config_from_dict(raw, method=PlanMethod.CAT_MOUSE).method is PlanMethod.CAT_MOUSE
+
     def test_planar2d_method_cannot_be_overridden(self):
         raw = bundled_config("planar2d").to_dict()
         assert config_from_dict(raw, method=PlanMethod.SHORTEST_PATH).method is PlanMethod.SHORTEST_PATH
@@ -448,13 +466,9 @@ class TestColumnFormScorer:
         assert len(polylines) == 10 and scored > 100
 
 
-# each bundled run, then every other planning method the CLI's --method can put on A-E
+# each bundled run, then the other planning methods the CLI's --method can put on D and E
 DECISION_RUNS = [(sid.value, None) for sid in ScenarioId] + [
-    (sid.value, method)
-    for sid in ScenarioId
-    if sid is not ScenarioId.PLANAR2D
-    for method in PlanMethod
-    if method is not bundled_config(sid).method
+    (sid, method) for sid in ("D", "E") for method in PlanMethod if method is not bundled_config(sid).method
 ]
 
 

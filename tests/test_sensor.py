@@ -133,19 +133,23 @@ class TestDetectCentroid:
 
 
 def reference_cloud(ball_position, params, uav, cam, rng_seed):
-    """The numpy-wrapper pipeline `sample_point_cloud` reproduces bit for bit."""
+    """The numpy-wrapper pipeline `sample_point_cloud` reproduces bit for bit. Each
+    dot product is the float sum (x*x' + y*y') + z*z', the rows' in column form;
+    a row whose dot product with `to_cam` has its sign bit set (-0.0 too) is mirrored."""
     rng = np.random.default_rng(rng_seed)
     n = cam.points_per_detection
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
-    norm = np.linalg.norm(to_cam)
+    x, y, z = to_cam.tolist()
+    norm = math.sqrt((x * x + y * y) + z * z)
     if norm == 0.0:
         to_cam = np.array([1.0, 0.0, 0.0])
     else:
         to_cam = to_cam / norm
     dirs = rng.normal(size=(n, 3))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    facing = dirs @ to_cam
-    dirs[facing < 0.0] *= -1.0
+    x, y, z = to_cam.tolist()
+    facing = (dirs[:, 0] * x + dirs[:, 1] * y) + dirs[:, 2] * z
+    dirs[np.signbit(facing)] *= -1.0
     points = ball_position + 0.5 * params.diameter_D * dirs
     if cam.noise_sigma > 0.0:
         points = points + rng.normal(scale=cam.noise_sigma, size=(n, 3))

@@ -165,8 +165,9 @@ def reference_wrap(angle):
 def reference_fly(state, sp, limits, dt, n, tilt_coupling, kp, kd, gravity_g, height_comp_gain, plane):
     """`fly`'s arithmetic written out one tick at a time, with no shortcut: each
     tick recomputes the height target, slews the yaw and sets the pitch, and
-    a plane projection is `project_to_plane`'s numpy form. Returns the final
-    state and the (n, 3) positions after each tick."""
+    a plane projection is `project_to_plane`'s numpy form around the float
+    sum (x*x' + y*y') + z*z' of each offset. Returns the final state and the
+    (n, 3) positions after each tick."""
     p = [float(c) for c in state.position]
     v = [float(c) for c in state.velocity]
     tx, ty, tz_sp = (float(c) for c in sp.target_position)
@@ -198,9 +199,11 @@ def reference_fly(state, sp, limits, dt, n, tilt_coupling, kp, kd, gravity_g, he
         pitch = math.atan(math.hypot(a[0], a[1]) / gravity_g) if tilt_coupling else 0.0
         if plane is not None:
             p0, n_hat = plane
+            nx, ny, nz = n_hat.tolist()
             pos, vel = np.array(p), np.array(v)
-            p = (pos - float((pos - p0) @ n_hat) * n_hat).tolist()
-            v = (vel - float(vel @ n_hat) * n_hat).tolist()
+            ox, oy, oz = (pos - p0).tolist()
+            p = (pos - ((ox * nx + oy * ny) + oz * nz) * n_hat).tolist()
+            v = (vel - ((v[0] * nx + v[1] * ny) + v[2] * nz) * n_hat).tolist()
         path.append(p)
     return UavState(np.array(p), np.array(v), yaw, pitch), np.array(path).reshape(n, 3)
 
