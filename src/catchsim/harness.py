@@ -59,7 +59,7 @@ from .predictor import (
     predict_path,
     push_observation,
 )
-from .sensor import CameraModel, Observation, frame_schedule, observe
+from .sensor import CameraModel, Observation, frame_schedule, frame_seeds, observe
 from .vehicle import (
     fly,
     hover_init,
@@ -525,17 +525,6 @@ def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: Reachable
     return k >= len(region.indices) or int(region.indices[k]) != j
 
 
-def _seed_words(seed: int) -> tuple[int, ...]:
-    """The 32-bit words, least significant first, that numpy's SeedSequence makes
-    of a non-negative int: (0,) for 0, and no leading zero word otherwise."""
-    words = [seed & 0xFFFF_FFFF]
-    seed >>= 32
-    while seed:
-        words.append(seed & 0xFFFF_FFFF)
-        seed >>= 32
-    return tuple(words)
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario to termination; fully deterministic given cfg.
 
@@ -597,16 +586,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         extent += float(np.abs(cfg.plane_point).max())
     may_overflow = not extent < 1e150  # three squares of 1e150 are far inside the float range
 
-    # Frame k's noise is seeded with (cfg.seed, k). SeedSequence reads that tuple as
-    # the words of each int in turn; a uint32 array of the same words seeds the
-    # same stream, and numpy copies it instead of converting each int (k < 2**32,
-    # since n_ticks <= MAX_TRUTH_SAMPLES)
-    seed_words = _seed_words(cfg.seed)
-    for k, stamp, k_next in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks]):
+    # Frame k's noise draws the stream of default_rng((cfg.seed, k)). One pass
+    # works out every frame's PCG64 seed words as SeedSequence would (k < 2**32,
+    # since n_ticks <= MAX_TRUTH_SAMPLES); a frame that detects the ball starts
+    # its generator from its row
+    from ._frame_rng import FrameSeed  # numpy.random: imported by the first run, not the package
+
+    seeds = frame_seeds(cfg.seed, frame_ticks)
+    for k, stamp, k_next, words in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks], seeds):
         t = k * dt
-        obs = observe(
-            positions[k], params, uav, cam, stamp, rng_seed=np.array((*seed_words, k), dtype=np.uint32)
-        )
+        obs = observe(positions[k], params, uav, cam, stamp, rng_seed=FrameSeed(words))
         decision = sp, None, None, None  # no detection: hold the setpoint, predict nothing
         if obs is not None:
             last_obs_time = t

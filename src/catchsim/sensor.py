@@ -7,7 +7,8 @@ sampled on the camera-facing hemisphere of the ball surface (optionally
 noisy), run through fringe filtering and a centroid. The camera owns
 the frame clock: `frame_schedule` picks, once per run, the physics ticks
 that carry a frame, so downstream consumers run at the camera rate
-rather than the physics rate.
+rather than the physics rate, and `frame_seeds` works out each of those
+frames' noise seed.
 
 Angle conventions (z-up world): yaw is CCW about +z, azimuth is positive
 to the camera's left, elevation positive up, and pitch is a down-tilt of
@@ -116,6 +117,107 @@ def frame_schedule(frame_rate: float, dt: float, n_ticks: int) -> tuple[list[int
     return ticks.tolist(), stamps[ticks].tolist()
 
 
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """The 32-bit words, least significant first, that numpy's SeedSequence makes
+    of a non-negative int: (0,) for 0, and no leading zero word otherwise."""
+    words = [seed & 0xFFFF_FFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFF_FFFF)
+        seed >>= 32
+    return tuple(words)
+
+
+# numpy's SeedSequence: the hash constant's start and multiplier while
+# the entropy is mixed in (A) and while the state is drawn (B), and mix's two multipliers
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of `calls` hashes and after the last,
+    uint32: init, then each times mult mod 2**32."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFF_FFFF)
+    return np.array(h, dtype=np.uint32)
+
+
+def _consts(h: np.ndarray, calls, shape: tuple[int, ...] = (-1, 1)) -> tuple[np.ndarray, np.ndarray]:
+    """What each of `calls` hashes mixes in (h[c]) and multiplies by (h[c + 1]),
+    as arrays of `shape`, whose last axis broadcasts over the frames."""
+    calls = np.asarray(calls)
+    return h[calls].reshape(shape), h[calls + 1].reshape(shape)
+
+
+def _cross_consts(h: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool word s's hashes into each pool word: the three others take the
+    next three of h in order, and word s a spare, as the cross-mix keeps it."""
+    first = 4 + 3 * s
+    return _consts(h, [first + d - (d > s) if d != s else first for d in range(4)])
+
+
+_MIX_H = _hash_consts(_INIT_A, _MULT_A, 16)  # four hashes fill the pool, then three per pool word
+_FILL = _consts(_MIX_H, range(4))
+_CROSS = [_cross_consts(_MIX_H, s) for s in range(4)]
+# a PCG64 seed is eight uint32 words, word 4a + b drawn from pool word b
+_DRAW = _consts(_hash_consts(_INIT_B, _MULT_B, 8), range(8), (2, 4, 1))
+
+
+def _hash(v: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hashmix of v, broadcast against the constants."""
+    x, m = consts
+    v = v ^ x
+    v *= m
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of y into x."""
+    r = x * _MIX_L
+    r -= y * _MIX_R
+    r ^= r >> 16
+    return r
+
+
+def frame_seeds(seed: int, ticks: list[int]) -> np.ndarray:
+    """Each frame's PCG64 seed words, (F, 4) uint64: row f is
+    `np.random.SeedSequence((seed, ticks[f])).generate_state(4, np.uint64)`.
+
+    This is SeedSequence's hash with its pool of four uint32 words, taken
+    for all frames at once. The entropy is the seed's `_seed_words`, then
+    the tick (one word: a tick past 2**32 - 1 raises OverflowError),
+    zero-padded to four words. Only the tick word differs between frames,
+    so each step is one array operation over them. A pool word's hashes
+    into the other three are one step, since it is not written while it is
+    their source, and an entropy word past the fourth is hashed into all
+    four as one step. The hash constants do not depend on the input, so
+    they are worked out once. Every operation is on uint32 arrays, which
+    wrap silently; numpy warns when a uint32 scalar overflows.
+    """
+    words = _seed_words(seed)
+    n = len(words) + 1
+    entropy = np.zeros((max(n, 4), len(ticks)), dtype=np.uint32)
+    entropy[: n - 1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[n - 1] = ticks
+
+    pool = _hash(entropy[:4], _FILL)
+    for s, consts in enumerate(_CROSS):
+        mixed = _mix(pool, _hash(pool[s], consts))
+        mixed[s] = pool[s]
+        pool = mixed
+    if n > 4:  # each entropy word past the fourth is mixed into every pool word
+        h = _hash_consts(int(_MIX_H[-1]), _MULT_A, 4 * (n - 4))
+        for i in range(n - 4):
+            pool = _mix(pool, _hash(entropy[4 + i], _consts(h, range(4 * i, 4 * i + 4))))
+
+    out = _hash(pool, _DRAW).reshape(8, -1)
+    # word pairs make the uint64s, the first the low half, on any host
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
 def sample_point_cloud(
     ball_position: np.ndarray,
     params: ProjectileParams,
@@ -129,9 +231,9 @@ def sample_point_cloud(
     camera, each perturbed by isotropic Gaussian noise of `noise_sigma`.
     Deterministic for a fixed seed; the caller gates on visibility.
     `rng_seed` is anything `np.random.default_rng` takes: an int, a tuple
-    of ints, or a uint32 array of the words numpy's SeedSequence makes of
-    them (the run passes its (seed, tick) that way), which gives the same
-    stream as the ints.
+    of ints, a seed sequence or a bit generator. The run passes each frame
+    a seed sequence that hands PCG64 the frame's row of `frame_seeds`,
+    which draws the same stream as the frame's (seed, tick).
 
     `to_cam`'s length is `norm3`, and each row's norm and its dot product
     with `to_cam` are the same float sum taken by `add.reduce(..., axis=1)`,
@@ -214,8 +316,8 @@ def observe(
     One evaluation of the camera geometry at the true centre gates
     visibility and gives the bearings and edge_fraction; the reported
     position is the fringe-filtered centroid of the sampled cloud, drawn
-    with `rng_seed` (an int, a tuple of ints or their uint32 word array;
-    see sample_point_cloud). A cloud whose centroid is not finite (noise
+    with `rng_seed` (anything `np.random.default_rng` takes; see
+    sample_point_cloud). A cloud whose centroid is not finite (noise
     past the float range) is no detection.
     """
     az, el, rng = _bearings(ball_position, uav, cam)

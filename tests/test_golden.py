@@ -1,20 +1,22 @@
 """Golden outputs: the trace and summary bytes of pinned runs.
 
 Each bundled config's `trace_csv` text and its summary, serialised as
-`write_outputs` writes it, are pinned by sha256. So are three corpora, one
+`write_outputs` writes it, are pinned by sha256. So are four corpora, one
 sha256 each over the concatenated outputs: D and E over noise seeds
 1-50, the chases A, B and C over noise seeds 1-20 (the scenarios of
-perfbench's chase workload), and the six bundled configs under each of five
-edits that move the control loop's timing or the vehicle recursion
-(height compensation, tilt coupling off, a frame rate whose period is
-not a whole number of ticks, a physics step that does not divide the
-frame period, and a run shorter than two frames). A fourth corpus pins the
-CLI's `--method` override: each bundled config under every method its
-scenario takes (D and E all three, A-C only cat & mouse, planar2d only
-shortest path), each passed to `config_from_dict` as `method=`. Any change to the
-physics, sensor, predictor, planner, vehicle, engine or output format
-that moves a single printed bit fails here; a deliberate change must
-re-record the hashes and say why.
+perfbench's chase workload), the six bundled configs at the noise seeds
+2**64 + 3 and 2**96 + 5 (with the tick, four and five 32-bit words of
+SeedSequence entropy, where seeds 1-50 give two), and the six bundled
+configs under each of five edits that move the control loop's timing or
+the vehicle recursion (height compensation, tilt coupling off, a frame
+rate whose period is not a whole number of ticks, a physics step that
+does not divide the frame period, and a run shorter than two frames). A
+fifth corpus pins the CLI's `--method` override: each bundled config
+under every method its scenario takes (D and E all three, A-C only cat &
+mouse, planar2d only shortest path), each passed to `config_from_dict` as
+`method=`. Any change to the physics, sensor, predictor, planner,
+vehicle, engine or output format that moves a single printed bit fails
+here; a deliberate change must re-record the hashes and say why.
 
 Recorded with Python 3.11.7 and numpy 2.4.6 (x86-64). The bytes depend
 on numpy's version and on the libm it calls: another version may round
@@ -70,6 +72,8 @@ GOLDEN = {
 
 SEEDS_SHA256 = "4687475ddb802e534694b460393dc55a5e873777b346a408671b35e7e6d07480"
 CHASE_SEEDS_SHA256 = "d209123bcfd16320c34fc8367d9303341e88bf5059c9e13976afa191cd897087"
+LONG_SEEDS_SHA256 = "53024f1ed37266fdc5b41962a7aa295d2f6cb4e06471668ff3c9bd97b3256d95"
+LONG_SEEDS = (2**64 + 3, 2**96 + 5)
 EDITED_SHA256 = "4747fd76dd50a0cd79e38c466911ad221c8e23e407aec0e951671ebbec2241e6"
 EDITS = (
     (("uav", "height_comp_gain"), 0.5),
@@ -135,6 +139,16 @@ def test_chase_seed_sweep_is_byte_identical():
             raw["seed"] = seed
             h.update(_outputs(raw))
     assert h.hexdigest() == CHASE_SEEDS_SHA256
+
+
+def test_long_seeds_are_byte_identical():
+    h = hashlib.sha256()
+    for sid in GOLDEN:
+        raw = _bundled_raw(sid)
+        for seed in LONG_SEEDS:
+            raw["seed"] = seed
+            h.update(_outputs(raw))
+    assert h.hexdigest() == LONG_SEEDS_SHA256
 
 
 def test_edited_configs_are_byte_identical():

@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,6 @@ from catchsim.harness import (
     TRACE_HEADER,
     ConfigError,
     ScenarioId,
-    _seed_words,
     bundled_config,
     config_from_dict,
     final_prediction_error,
@@ -29,8 +32,12 @@ from catchsim.harness import (
     trace_csv,
     write_outputs,
 )
+from catchsim._frame_rng import FrameSeed
 from catchsim.planner import PlanMethod
+from catchsim.sensor import _seed_words, frame_seeds
 from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # the predictive methods, which the chases A-C do not take
@@ -477,28 +484,54 @@ def frame_draws(rng_seed):
     return np.random.default_rng(rng_seed).normal(size=(50, 3)).tobytes()
 
 
-def word_seed(seed, k):
-    """Frame k's seed as run_scenario builds it."""
-    return np.array((*_seed_words(seed), k), dtype=np.uint32)
+def assert_rows_seed_as_numpy(seed, ticks):
+    """Each row of frame_seeds(seed, ticks) is SeedSequence((seed, k))'s PCG64
+    state, and the seed run_scenario makes of it draws as (seed, k) does."""
+    rows = frame_seeds(seed, ticks)
+    assert rows.shape == (len(ticks), 4) and rows.dtype == np.uint64
+    for k, words in zip(ticks, rows):
+        assert words.tobytes() == np.random.SeedSequence((seed, k)).generate_state(4, np.uint64).tobytes()
+        assert frame_draws(FrameSeed(words)) == frame_draws((seed, k))
 
 
 class TestSeedWords:
-    # a seed of one word, the largest one-word seed, the smallest two-word one, and longer ones
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345])
-    @pytest.mark.parametrize("k", [0, 1, 99_999])
+    # a seed of one word, the largest one-word seed, the smallest two-word one, and
+    # longer ones: with the tick, 2**64 + 3 fills the pool's four words, and
+    # 2**96 + 5 and 2**200 + 12345 give entropy words past the fourth
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**200 + 12345])
+    @pytest.mark.parametrize("k", [0, 1, 99_999, MAX_TRUTH_SAMPLES])
     def test_draws_as_the_int_pair(self, seed, k):
-        assert frame_draws(word_seed(seed, k)) == frame_draws((seed, k))
+        assert_rows_seed_as_numpy(seed, [k])
 
+    # a seed in [0, 2**256) from one to eight 32-bit words, least significant first:
+    # st.integers(0, 2**256 - 1) draws few seeds past three words, which the extra-word step needs
     @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**256 - 1), k=st.integers(0, MAX_TRUTH_SAMPLES))
-    def test_draws_as_the_int_pair_for_any_seed(self, seed, k):
-        assert frame_draws(word_seed(seed, k)) == frame_draws((seed, k))
+    @given(
+        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8).map(
+            lambda words: sum(w << 32 * i for i, w in enumerate(words))
+        ),
+        ticks=st.lists(st.integers(0, MAX_TRUTH_SAMPLES), min_size=1, max_size=300),
+    )
+    def test_draws_as_the_int_pair_for_any_seed(self, seed, ticks):
+        assert_rows_seed_as_numpy(seed, ticks)
+
+    def test_no_ticks_no_rows(self):
+        rows = frame_seeds(2**96 + 5, [])
+        assert rows.shape == (0, 4) and rows.dtype == np.uint64
 
     def test_words_are_little_endian_without_leading_zeros(self):
         assert _seed_words(0) == (0,)
         assert _seed_words(2**32 - 1) == (2**32 - 1,)
         assert _seed_words(2**32) == (0, 1)
         assert _seed_words(2**64 + 3) == (3, 0, 1)
+
+    def test_import_leaves_numpy_random_to_the_first_run(self):
+        # numpy.random takes ~15 ms to import; loading and checking a config does not need it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = "import catchsim, sys; sys.exit('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScenarioOutcomes:

@@ -8,8 +8,9 @@ the four termination reasons with every trace cell finite and a summary
 that serialises as strict JSON (no NaN or Infinity). The edited fields
 are the ball, projectile and environment, the two time settings, the
 vehicle's limits, gains, height compensation and start, the camera
-(frame rate, noise, both fields of view, range, mount pitch and points
-per detection up to the schema's max), and tilt coupling;
+(frame rate, both fields of view, range, mount pitch, and noise and
+points per detection at the bundled scale or up to the schema's max),
+and tilt coupling;
 `physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
 most ~16k ticks long. A frame period that is an odd multiple of half a
 step (400 Hz at the bundled 1 ms step, where two ticks tie for one frame)
@@ -53,7 +54,8 @@ FIELDS = {
     ("uav", "height_comp_gain"): non_negative,
     ("uav", "start_elevation"): positive,
     ("camera", "frame_rate"): st.one_of(st.sampled_from([400.0, 2000.0 / 3.0]), positive),
-    ("camera", "noise_sigma"): non_negative,
+    # noisy frames up to the schema's max: a draw past it only tests load rejection
+    ("camera", "noise_sigma"): st.one_of(st.floats(0.0, 0.05), st.floats(0.0, MAX_NOISE_SIGMA)),
     ("camera", "horizontal_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
     ("camera", "vertical_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
     ("camera", "max_range"): positive,
@@ -80,6 +82,11 @@ def linear_ball(sid, position, velocity):
     return {**bundled_raw(sid), "ball": {"position": position, "velocity": velocity, "motion": "linear"}}
 
 
+def long_seed(sid):
+    # with the tick, five 32-bit words of SeedSequence entropy, one past its pool
+    return {**bundled_raw(sid), "seed": 2**96 + 5}
+
+
 def noisiest(sid):
     raw = bundled_raw(sid)
     raw.setdefault("camera", {})["noise_sigma"] = MAX_NOISE_SIGMA
@@ -104,6 +111,7 @@ def edited_raw(draw):
 @example(raw={**bundled_raw("A"), "max_sim_time": 10**400})  # a JSON integer too long for a float
 @example(raw=noisiest("D"))
 @example(raw=noisiest("planar2d"))
+@example(raw=long_seed("D"))
 @example(raw=linear_ball("B", [4.0, 1.8, 2.0], [0.0, 0.0, 1.3e154]))  # the UAV-ball distance overflows
 @example(raw=linear_ball("A", [4.0, 0.0, 2.0], [0.0, 0.0, 3e307]))  # the true path overflows
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
