@@ -34,6 +34,7 @@ from .harness import (
     load_raw_config,
     run_scenario,
     scenario_expectation,
+    summary_dict,
     write_outputs,
 )
 from .planner import PlanMethod
@@ -88,12 +89,9 @@ def cmd_suite(args) -> int:
             write_outputs(result, out_dir, sid)
             ok, detail = scenario_expectation(cfg, result)
             report[sid] = {
+                **summary_dict(result),
                 "expected_ok": ok,
-                "intercepted": result.intercepted,
-                "interception_time": result.interception_time,
-                "min_distance": result.min_distance,
                 "final_prediction_error": final_prediction_error(result),
-                "termination_reason": result.termination_reason,
                 "detail": detail,
             }
             all_ok = all_ok and ok

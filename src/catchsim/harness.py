@@ -315,12 +315,23 @@ def config_from_dict(raw: dict, method: PlanMethod | None = None) -> ScenarioCon
     return cfg
 
 
+# A detection's points lie up to the ball's radius, plus the noise, from its centre. The
+# noise's max keeps their squared offsets, summed over a detection, in the float range,
+# and so bounds the radius too
+_MAX_DIAMETER = 2.0 * _SCHEMA["fields"]["camera"]["fields"]["noise_sigma"]["max"]
+
+
 def _validate_semantics(cfg: ScenarioConfig):
     # the schema bounds a given reference area; one derived from the diameter may over- or underflow
     area = cfg.projectile.reference_area_A
     if not 0.0 < area < math.inf:
         raise ConfigError(
             f"projectile.diameter: with reference_area omitted, pi D^2 / 4 must be finite and > 0, got {area}"
+        )
+    if cfg.projectile.diameter_D > _MAX_DIAMETER:
+        raise ConfigError(
+            f"projectile.diameter: must be <= twice camera.noise_sigma's max ({_MAX_DIAMETER}), "
+            f"got {cfg.projectile.diameter_D}"
         )
     if cfg.tilt_coupling and cfg.environment.gravity_g == 0.0:
         # the coupled camera tilt is atan(|a_h| / g)
@@ -560,6 +571,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     positions = truth.positions
 
     uav = hover_init(cfg.start_elevation)
+    if planar:
+        # the start need only lie within 1e-6 m of the plane (_validate_semantics)
+        uav.position = project_to_plane(uav.position, *plane)
     queue = ObservationQueue(capacity=cfg.queue_capacity)
     sp = Setpoint(uav.position.copy(), 0.0)
 

@@ -216,7 +216,9 @@ def plane_crossing(
 
     s = np.add.reduce((path.positions - plane_point) * plane_normal, axis=1)  # each row's dot3
     on_plane = np.flatnonzero(s == 0.0)
-    sign_flip = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    # signs, not a product of distances, which can overflow or underflow to 0
+    sign = np.sign(s)
+    sign_flip = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
     i_on = int(on_plane[0]) if len(on_plane) else None
     i_flip = int(sign_flip[0]) if len(sign_flip) else None

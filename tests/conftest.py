@@ -1,16 +1,126 @@
-"""Fixtures shared by the config-loading tests, the schema and the camera's two
-upper bounds it declares, and the per-tick frame rule shared by the
-frame-schedule and segment tests."""
+"""Fixtures shared by the tests: the schema, its leaves and the camera's two
+upper bounds it declares; the bundled configs, and one Hypothesis strategy
+of edits to them built from the schema, with a bound on what a run of one
+costs; and the per-tick frame rule shared by the frame-schedule and segment
+tests."""
 
 import json
+import math
+import sys
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
-SCHEMA = json.loads(resources.files("catchsim.scenarios").joinpath("schema.json").read_text())
-_CAMERA = SCHEMA["fields"]["camera"]["fields"]
-MAX_NOISE_SIGMA = _CAMERA["noise_sigma"]["max"]  # the most noise a config may load
-MAX_POINTS_PER_DETECTION = _CAMERA["points_per_detection"]["max"]
+from catchsim.harness import _BOUNDS
+from catchsim.sensor import frame_schedule
+
+_SCENARIO_FILES = resources.files("catchsim.scenarios")
+SCHEMA = json.loads(_SCENARIO_FILES.joinpath("schema.json").read_text())
+SCENARIOS = SCHEMA["fields"]["scenario_id"]["enum"]
+
+
+def _leaves(node: dict, path: tuple[str, ...] = ()):
+    for key, sub in node["fields"].items():
+        if sub["type"] == "object":
+            yield from _leaves(sub, path + (key,))
+        else:
+            yield path + (key,), sub
+
+
+# every schema leaf: its path in a config, e.g. ("uav", "limits", "max_speed"), and its node
+LEAVES = dict(_leaves(SCHEMA))
+MAX_NOISE_SIGMA = LEAVES["camera", "noise_sigma"]["max"]  # the most noise a config may load
+MAX_POINTS_PER_DETECTION = LEAVES["camera", "points_per_detection"]["max"]
+
+
+def bundled_raw(sid: str) -> dict:
+    """A fresh copy of a bundled config's JSON."""
+    return json.loads(_SCENARIO_FILES.joinpath(f"{sid}.json").read_text())
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(node: dict):
+    """A number or integer leaf's values, at three scales: within ten times
+    its default (within 10 where that is 0 or absent); at and beside each
+    declared bound; and log-spread in magnitude from its upper bound, or the
+    float range, down through every decade to 0. A leaf with no lower bound
+    of 0 or more draws both signs."""
+    top = node.get("max", node.get("max_exclusive", _FLOAT_MAX))
+    scale = 10.0 * (abs(node.get("default", 0)) or 1)
+    magnitudes = st.one_of(
+        st.floats(0.0, min(scale, top)),
+        st.floats(0.0, math.log10(top) + 324.0).map(lambda d: top * 10.0**-d),
+    )
+    if node["type"] == "integer":
+        magnitudes = magnitudes.map(int)
+    lower = node.get("min", node.get("min_exclusive"))
+    if lower is None or lower < 0:
+        magnitudes = st.builds(lambda sign, m: sign * m, st.sampled_from((-1, 1)), magnitudes)
+    bounds = [node[key] for key, _, _ in _BOUNDS if key in node]
+    if node["type"] == "integer":
+        edges = {b + step for b in bounds for step in (-1, 0, 1)}
+    else:
+        edges = {x for b in bounds for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))}
+    return st.one_of(magnitudes, st.sampled_from(sorted(edges))) if edges else magnitudes
+
+
+def _leaf_values(node: dict):
+    """Values for one schema leaf, from its type, enum and bounds: each vec3
+    component is an unbounded number; the edge values beside a bound, and
+    log-spread draws, often lie past it, so loading rejects them."""
+    if "enum" in node:
+        return st.sampled_from(node["enum"])
+    if node["type"] == "boolean":
+        return st.booleans()
+    if node["type"] == "vec3":
+        return st.lists(_number({"type": "number"}), min_size=3, max_size=3)
+    return _number(node)
+
+
+EDITABLE = sorted(path for path in LEAVES if path != ("scenario_id",))
+_EDITS = {path: _leaf_values(LEAVES[path]) for path in EDITABLE}
+
+
+def _set(raw: dict, path: tuple[str, ...], value):
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+
+
+def edited(sid: str, **fields) -> dict:
+    """A bundled config's JSON with some leaves set, each named by its path
+    joined with "__", e.g. uav__limits__max_speed=4.0."""
+    raw = bundled_raw(sid)
+    for dotted, value in fields.items():
+        _set(raw, tuple(dotted.split("__")), value)
+    return raw
+
+
+@st.composite
+def edited_raw(draw):
+    """A bundled config's JSON with 1-4 of its leaves other than scenario_id
+    set to values drawn from the schema."""
+    raw = bundled_raw(draw(st.sampled_from(SCENARIOS)))
+    for path in draw(st.lists(st.sampled_from(EDITABLE), min_size=1, max_size=4, unique=True)):
+        _set(raw, path, draw(_EDITS[path]))
+    return raw
+
+
+MAX_RUN_COST = 2_000_000  # the costliest run a property makes: about 0.6 s on a 2-core Xeon
+
+
+def run_cost(cfg) -> int:
+    """A bound on a run's cost, in sampled ball points: each camera frame
+    samples at most `points_per_detection` of them, and its other work costs
+    about as much as 100 more (on a 2-core Xeon, a point about 0.3 us and the
+    rest of a frame 20-100 us)."""
+    n_ticks = int(round(cfg.max_sim_time / cfg.physics_dt))
+    frames, _ = frame_schedule(cfg.camera.frame_rate, cfg.physics_dt, n_ticks)
+    return len(frames) * (cfg.camera.points_per_detection + 100)
 
 
 def carries_frame(k: int, dt: float, frame_rate: float) -> bool:

@@ -5,21 +5,15 @@ import os
 import subprocess
 import sys
 import warnings
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from catchsim.cli import SUITE_ORDER, main
 from catchsim.harness import ConfigError, load_config
-from conftest import MAX_NOISE_SIGMA
+from conftest import MAX_NOISE_SIGMA, bundled_raw
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def bundled_raw(sid):
-    with resources.files("catchsim.scenarios").joinpath(f"{sid}.json").open() as f:
-        return json.load(f)
 
 
 def write_cfg(tmp_path, name, raw):

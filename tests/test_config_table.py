@@ -9,28 +9,13 @@ every default passes its own leaf's check, bounds included.
 
 import dataclasses
 import json
-from importlib import resources
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from catchsim.harness import _NESTED, ConfigError, ScenarioConfig, _check_leaf, config_from_dict
-from conftest import SCHEMA
-
-SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
-
-
-def bundled_raw(sid):
-    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
-
-
-def schema_leaves(node=SCHEMA, path=()):
-    for key, sub in node["fields"].items():
-        if sub["type"] == "object":
-            yield from schema_leaves(sub, path + (key,))
-        else:
-            yield path + (key,), sub
+from conftest import LEAVES, edited_raw
 
 
 def dict_leaves(d, path=()):
@@ -41,40 +26,10 @@ def dict_leaves(d, path=()):
             yield path + (key,)
 
 
-LEAVES = dict(schema_leaves())
-# scenario_id and the plane decide which other fields are legal at all
-EDITABLE = sorted(path for path in LEAVES if path[0] not in ("scenario_id", "plane"))
-
-
-def leaf_values(node):
-    """Values the schema accepts for one leaf: small ranges, so most edits also load,
-    except that a leaf with a max or max_exclusive is drawn up to it."""
-    kind = node["type"]
-    if "enum" in node:
-        return st.sampled_from(node["enum"])
-    if kind == "boolean":
-        return st.booleans()
-    if kind == "integer":
-        lo = node.get("min", 0)
-        return st.integers(lo, node.get("max", lo + 60))
-    if kind == "vec3":
-        return st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)
-    lo = node.get("min", node.get("min_exclusive", -3.0))
-    hi = node.get("max", node.get("max_exclusive", lo + 3.0))
-    return st.floats(lo, hi, exclude_min="min_exclusive" in node, exclude_max="max_exclusive" in node)
-
-
 @st.composite
 def edited_configs(draw):
-    sid = draw(st.sampled_from(SCENARIOS))
-    raw = bundled_raw(sid)
-    for path in draw(st.lists(st.sampled_from(EDITABLE), max_size=4, unique=True)):
-        node = raw
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = draw(leaf_values(LEAVES[path]))
     try:
-        return config_from_dict(raw)
+        return config_from_dict(draw(edited_raw()))
     except ConfigError:
         reject()
 

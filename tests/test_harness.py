@@ -118,6 +118,11 @@ SCHEMA_REJECTIONS = {
         minimal_a(projectile={"diameter": 1e-200}),
         "projectile.diameter: with reference_area omitted, pi D^2 / 4 must be finite and > 0, got 0.0",
     ),
+    # with a reference area given, the diameter still scales the camera's points
+    "radius_past_the_noise_max": (
+        minimal_a(projectile={"diameter": 1e300, "reference_area": 1.0}),
+        "projectile.diameter: must be <= twice camera.noise_sigma's max (2e+100), got 1e+300",
+    ),
     "unknown_key_before_fields": (minimal_a(bogus=1, seed=-1), "unknown field 'bogus'"),
     "fields_in_schema_order": (minimal_a(physics_dt=0, seed=-1), "seed: must be >= 0, got -1"),
     "group_keys_when_reached": (minimal_a(camera={"bogus": 1}, seed=-1), "seed: must be >= 0, got -1"),
@@ -707,7 +712,7 @@ class TestScenarioOutcomes:
         assert all(r.setpoint.path_index is None for r in result.records)
         assert all(np.array_equal(r.setpoint.target_position, r.observation.position) for r in result.records[:-1])
 
-    @pytest.mark.parametrize("sigma", [1e80, 1e90, 1e100])
+    @pytest.mark.parametrize("sigma", [1e60, 1e80, 1e90, 1e100])
     @pytest.mark.parametrize("sid", ["D", "E", "planar2d"])
     def test_noisy_throw_runs_to_a_termination_reason(self, sid, sigma):
         # velocities fitted to such detections send the predicted path out of the

@@ -1,117 +1,84 @@
-"""No schema-valid config produces a traceback.
+"""No schema-valid config produces a traceback, and every run keeps the loop's invariants.
 
-Property over edits of the six bundled configs, up to the float range:
+Property over edits of the six bundled configs, drawn from the schema
+(`conftest.edited_raw`: 1-4 of the leaves other than scenario_id):
 loading either raises ConfigError, or gives a config whose run raises
 only the `ball:` ConfigError (a true path that cannot be integrated,
 found before the first tick) or returns a result that ends for one of
-the four termination reasons with every trace cell finite and a summary
-that serialises as strict JSON (no NaN or Infinity). The edited fields
-are the ball, projectile and environment, the two time settings, the
-vehicle's limits, gains, height compensation and start, the camera
-(frame rate, both fields of view, range, mount pitch, and noise and
-points per detection at the bundled scale or up to the schema's max),
-and tilt coupling;
-`physics_dt` >= 5e-4 s and `max_sim_time` <= 8 s keep every example at
-most ~16k ticks long. A frame period that is an odd multiple of half a
-step (400 Hz at the bundled 1 ms step, where two ticks tie for one frame)
-is drawn on purpose: random floats almost never hit an exact tie.
+the four termination reasons with every trace cell finite, a summary
+that serialises as strict JSON (no NaN or Infinity), and the invariants
+in `check_invariants`. A config whose run would cost more than
+`MAX_RUN_COST` sampled points (`conftest.run_cost`) is not run. A frame
+period that is an odd multiple of half a step (400 Hz and 2000/3 Hz at
+the bundled 1 ms step, where two ticks tie for one frame) is an example
+on purpose: random floats almost never hit an exact tie.
 """
 
 import json
 import math
-from importlib import resources
 
-from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from catchsim.harness import ConfigError, config_from_dict, run_scenario, summary_dict, trace_csv
-from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
+from catchsim.physics import dot3, norm3
+from catchsim.planner import PlanMethod
+from conftest import MAX_NOISE_SIGMA, MAX_RUN_COST, bundled_raw, edited, edited_raw, run_cost
 
-SCENARIOS = ["A", "B", "C", "D", "E", "planar2d"]
 REASONS = {"intercepted", "ground_impact", "ball_lost", "max_time"}
 
-# the bundled scale, or anywhere up to the float range
-anywhere = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e308, 1e308))
-positive = st.one_of(st.floats(1e-6, 10.0), st.floats(0.0, 1e308, exclude_min=True))
-non_negative = st.one_of(st.just(0.0), positive)
-FIELDS = {
-    ("ball", "motion"): st.sampled_from(["frozen", "linear", "ballistic"]),
-    ("ball", "position"): st.lists(anywhere, min_size=3, max_size=3),
-    ("ball", "velocity"): st.lists(anywhere, min_size=3, max_size=3),
-    ("projectile", "drag_mode"): st.sampled_from(["velocity_opposed", "none"]),
-    ("projectile", "mass"): positive,
-    ("projectile", "diameter"): positive,
-    ("environment", "air_density"): positive,
-    ("environment", "kinematic_viscosity"): positive,
-    ("physics_dt",): st.one_of(st.floats(5e-4, 5e-3), st.floats(5e-4, 1e308)),
-    ("max_sim_time",): st.floats(0.0, 8.0, exclude_min=True),
-    ("uav", "limits", "max_speed"): positive,
-    ("uav", "limits", "max_accel"): positive,
-    ("uav", "limits", "max_yaw_rate"): positive,
-    ("uav", "limits", "intercept_radius"): positive,
-    ("uav", "gains", "kp"): positive,
-    ("uav", "gains", "kd"): non_negative,
-    ("uav", "height_comp_gain"): non_negative,
-    ("uav", "start_elevation"): positive,
-    ("camera", "frame_rate"): st.one_of(st.sampled_from([400.0, 2000.0 / 3.0]), positive),
-    # noisy frames up to the schema's max: a draw past it only tests load rejection
-    ("camera", "noise_sigma"): st.one_of(st.floats(0.0, 0.05), st.floats(0.0, MAX_NOISE_SIGMA)),
-    ("camera", "horizontal_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
-    ("camera", "vertical_fov"): st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
-    ("camera", "max_range"): positive,
-    ("camera", "mount_pitch"): anywhere,
-    # a draw near the bound costs ~10 ms per frame, so most stay at the bundled scale
-    ("camera", "points_per_detection"): st.one_of(
-        st.integers(1, 200), st.integers(1, MAX_POINTS_PER_DETECTION)
-    ),
-    ("planner", "tilt_coupling"): st.booleans(),
-}
 
-
-def bundled_raw(sid):
-    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
-
-
-def at_400_hz(sid):
-    raw = bundled_raw(sid)
-    raw.setdefault("camera", {})["frame_rate"] = 400.0
-    return raw
+def check_invariants(cfg, result):
+    """The loop's invariants over a run's records: times never decrease; the UAV
+    moves at most max_speed per unit time, to a relative 1e-9 and the rounding
+    of its position; min_distance is at most every recorded
+    UAV-ball distance, and at most the intercept radius if the ball was caught;
+    fastest_path never chooses a later path index than shortest_path; and a
+    planar2d UAV lies on its plane."""
+    records = result.records
+    for a, b in zip(records, records[1:]):
+        assert a.time <= b.time
+        step = norm3(b.uav_position - a.uav_position)
+        # each tick also rounds the position to floats, by less than 2 ulps of its norm:
+        # far more than 1e-9 of a step much shorter than the position's ulp
+        ticks = round((b.time - a.time) / cfg.physics_dt)
+        rounding = 2 * ticks * math.ulp(max(norm3(a.uav_position), norm3(b.uav_position)) + step)
+        assert step <= cfg.limits.max_speed * (b.time - a.time) * (1 + 1e-9) + rounding, (a.time, b.time, step)
+    for rec in records:
+        assert result.min_distance <= norm3(rec.uav_position - rec.ball_position), rec.time
+    if result.intercepted:
+        assert result.min_distance <= cfg.limits.intercept_radius
+    if cfg.method is PlanMethod.FASTEST_PATH:
+        for rec in records:
+            if rec.chosen_index is not None and rec.shortest_index is not None:
+                assert rec.chosen_index <= rec.shortest_index, rec.time
+    if cfg.plane_normal is not None:
+        p0, n_hat = cfg.plane_point, cfg.plane_normal
+        for rec in records:
+            p = rec.uav_position
+            assert abs(dot3(p - p0, n_hat)) <= 1e-9 * (norm3(p) + norm3(p0)), rec.time
 
 
 def linear_ball(sid, position, velocity):
     return {**bundled_raw(sid), "ball": {"position": position, "velocity": velocity, "motion": "linear"}}
 
 
-def long_seed(sid):
-    # with the tick, five 32-bit words of SeedSequence entropy, one past its pool
-    return {**bundled_raw(sid), "seed": 2**96 + 5}
-
-
-def noisiest(sid):
-    raw = bundled_raw(sid)
-    raw.setdefault("camera", {})["noise_sigma"] = MAX_NOISE_SIGMA
-    return raw
-
-
-@st.composite
-def edited_raw(draw):
-    raw = bundled_raw(draw(st.sampled_from(SCENARIOS)))
-    for path in draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=4, unique=True)):
-        node = raw
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = draw(FIELDS[path])
-    return raw
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=edited_raw())
-@example(raw=at_400_hz("C"))
-@example(raw=at_400_hz("D"))
+@example(raw=edited("C", camera__frame_rate=400.0))
+@example(raw=edited("D", camera__frame_rate=400.0))
+@example(raw=edited("E", camera__frame_rate=2000.0 / 3.0))
 @example(raw={**bundled_raw("A"), "max_sim_time": 10**400})  # a JSON integer too long for a float
-@example(raw=noisiest("D"))
-@example(raw=noisiest("planar2d"))
-@example(raw=long_seed("D"))
+@example(raw=edited("D", camera__noise_sigma=MAX_NOISE_SIGMA))
+@example(raw=edited("planar2d", camera__noise_sigma=MAX_NOISE_SIGMA))
+# the widest detections a config may load: the largest radius and noise
+@example(raw=edited("A", projectile__diameter=2 * MAX_NOISE_SIGMA, projectile__reference_area=1.0,
+                    camera__noise_sigma=MAX_NOISE_SIGMA))
+# the UAV's start lies 5e-7 m off the plane, which loads
+@example(raw=edited("planar2d", plane__point=[5e-7, 0.0, 2.0]))
+# signed distances to the plane whose products overflow
+@example(raw=edited("planar2d", camera__noise_sigma=1e60))
+# with the tick, five 32-bit words of SeedSequence entropy, one past its pool
+@example(raw=edited("D", seed=2**96 + 5))
 @example(raw=linear_ball("B", [4.0, 1.8, 2.0], [0.0, 0.0, 1.3e154]))  # the UAV-ball distance overflows
 @example(raw=linear_ball("A", [4.0, 0.0, 2.0], [0.0, 0.0, 3e307]))  # the true path overflows
 def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
@@ -119,6 +86,7 @@ def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
         cfg = config_from_dict(raw)
     except ConfigError:
         return
+    assume(run_cost(cfg) <= MAX_RUN_COST)
     try:
         result = run_scenario(cfg)
     except ConfigError as exc:
@@ -128,3 +96,4 @@ def test_valid_config_loads_and_runs_or_is_a_config_error(raw):
     json.dumps(summary_dict(result), allow_nan=False)
     for row in trace_csv(result).splitlines()[1:]:
         assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell), row
+    check_invariants(cfg, result)

@@ -302,6 +302,18 @@ class TestPlaneCrossing:
         )
         assert plane_crossing(path, *self.plane()) is None
 
+    @pytest.mark.parametrize("z", [1e200, 1e-200], ids=["overflows", "underflows"])
+    def test_crossing_whose_distance_product_leaves_the_float_range(self, z):
+        # signed distances +-z: their product overflows to -inf (with a warning)
+        # or underflows to -0.0, but their signs still differ
+        path = PredictedPath(
+            positions=np.array([[0.0, 0.0, z], [1.0, 0.0, -z]]),
+            times=np.array([0.0, 0.01]),
+        )
+        pos, t = plane_crossing(path, *self.plane())
+        assert np.array_equal(pos, [0.5, 0.0, 0.0])
+        assert t == 0.005
+
     def test_sample_exactly_on_plane(self):
         path = PredictedPath(
             positions=np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [2.0, 0.0, -1.0]]),

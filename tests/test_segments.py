@@ -5,13 +5,15 @@ termination once per segment, from its least distance, its last tick and
 the ball-lost deadline; only a segment that ends the run is checked tick
 by tick. `per_tick` replays a run the way the engine once stepped it:
 every tick it applies the frame gate (the first tick of a new frame that
-`carries_frame`), one `step_uav` call (plus the planar projection)
-toward the setpoint recorded at the latest frame, and the three
-termination checks. Its distances and projections take each dot product
-as the float sum (x*x' + y*y') + z*z', written out in `dot`. Planning
+`carries_frame`), one `step_uav` call (plus the planar projection, which
+the start gets too) toward the setpoint recorded at the latest frame, and
+the three termination checks. Its distances and projections take each dot
+product as the float sum (x*x' + y*y') + z*z', written out in `dot`. Planning
 is not redone; the recorded setpoints are replayed. The run must agree with the replay bit for bit: frame ticks,
 the UAV position at every frame, the reason, the last tick,
-`min_distance` and the final UAV position.
+`min_distance` and the final UAV position. Besides the fixed configs
+below, a property replays the schema strategy's edits
+(`conftest.edited_raw`), each run cut to `MAX_REPLAY_TICKS` ticks.
 
 The bundled planar2d plane has the normal (1, 0, 0), which makes every
 projection dot product exact, so the tilted planes below are the runs
@@ -21,22 +23,19 @@ that can see how the engine rounds its projection.
 import hashlib
 import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from catchsim.harness import (
-    BALL_LOST_TIMEOUT, BallMotion, ScenarioId, config_from_dict, run_scenario, summary_dict, trace_csv,
+    BALL_LOST_TIMEOUT, BallMotion, ConfigError, ScenarioId, config_from_dict, run_scenario, summary_dict,
+    trace_csv,
 )
 from catchsim.physics import ground_truth
 from catchsim.sensor import frame_schedule
 from catchsim.vehicle import UavState, hover_init, step_uav
-from conftest import carries_frame
-
-
-def bundled_raw(sid: str) -> dict:
-    return json.loads(resources.files("catchsim.scenarios").joinpath(f"{sid}.json").read_text())
+from conftest import MAX_RUN_COST, bundled_raw, carries_frame, edited, edited_raw, run_cost
 
 
 def truth_of(cfg) -> np.ndarray:
@@ -63,7 +62,11 @@ def per_tick(cfg, result) -> dict:
     truth = truth_of(cfg)
     ballistic = cfg.ball_motion is BallMotion.BALLISTIC
     frames = iter(result.records[:-1])
+    planar = cfg.scenario_id is ScenarioId.PLANAR2D
+    p0, n_hat = cfg.plane_point, cfg.plane_normal
     uav = hover_init(cfg.start_elevation)
+    if planar:  # the start, too, is projected
+        uav.position = uav.position - dot(uav.position - p0, n_hat) * n_hat
     distances = [distance(uav.position, truth[0])]
     frame_ticks = []
     last_obs_time = None
@@ -84,8 +87,7 @@ def per_tick(cfg, result) -> dict:
             uav, sp, cfg.limits, dt, cfg.tilt_coupling, cfg.kp, cfg.kd,
             cfg.environment.gravity_g, cfg.height_comp_gain,
         )
-        if cfg.scenario_id is ScenarioId.PLANAR2D:
-            p0, n_hat = cfg.plane_point, cfg.plane_normal
+        if planar:
             pos = uav.position - dot(uav.position - p0, n_hat) * n_hat
             vel = uav.velocity - dot(uav.velocity, n_hat) * n_hat
             uav = UavState(pos, vel, uav.yaw, uav.pitch)
@@ -123,17 +125,6 @@ def run_and_replay(raw: dict):
     assert final.uav_position.tobytes() == ref["uav_position"].tobytes()
     assert result.intercepted == (ref["reason"] == "intercepted")
     return cfg, result, ref
-
-
-def edited(sid: str, **fields) -> dict:
-    raw = bundled_raw(sid)
-    for dotted, value in fields.items():
-        node = raw
-        *parents, leaf = dotted.split("__")
-        for key in parents:
-            node = node.setdefault(key, {})
-        node[leaf] = value
-    return raw
 
 
 # planar2d on tilted planes through the bundled plane point (0, 0, 2); every run intercepts
@@ -292,3 +283,28 @@ def test_frame_period_an_odd_multiple_of_half_a_step(sid):
     assert [round(rec.time * 400.0) for rec in result.records[:-1]] == list(range(len(ref["frame_ticks"])))
     stamps = [rec.observation.timestamp for rec in result.records if rec.observation is not None]
     assert len(stamps) > 2 and all(b > a for a, b in zip(stamps, stamps[1:]))
+
+
+MAX_REPLAY_TICKS = 2000  # the per-tick loop takes about 10 us a tick
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=edited_raw())
+@example(raw=edited("D", camera__frame_rate=400.0))  # two ticks tie for each odd frame
+# the UAV holds still at the start, exactly 5 m from a ball it cannot see: a hit on tick 1
+@example(raw=edited("A", ball__position=[0.0, 0.0, 7.0], uav__limits__intercept_radius=5.0))
+@example(raw=edited("A", ball__motion="ballistic", ball__position=[4.0, 0.0, -0.5]))  # starts below ground
+# lands inside the first segment, on neither of its edge ticks
+@example(raw=edited("A", ball__motion="ballistic", ball__position=[4.0, 0.0, 0.05], ball__velocity=[0.0, 0.0, -3.0]))
+def test_edited_configs_match_the_per_tick_loop(raw):
+    # the schema strategy's edits, each run cut to MAX_REPLAY_TICKS ticks
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    raw["max_sim_time"] = min(cfg.max_sim_time, MAX_REPLAY_TICKS * cfg.physics_dt)
+    assume(run_cost(config_from_dict(raw)) <= MAX_RUN_COST)
+    try:
+        run_and_replay(raw)
+    except ConfigError as exc:
+        assert str(exc).startswith("ball: "), exc
