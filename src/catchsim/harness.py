@@ -336,11 +336,11 @@ def _validate_semantics(cfg: ScenarioConfig):
     if cfg.tilt_coupling and cfg.environment.gravity_g == 0.0:
         # the coupled camera tilt is atan(|a_h| / g)
         raise ConfigError("environment.gravity: must be > 0 while planner.tilt_coupling is on")
+    start = hover_init(cfg.start_elevation).position
     if cfg.scenario_id is ScenarioId.PLANAR2D:
         n = cfg.plane_normal
         if abs(norm3(n) - 1.0) > 1e-6:
             raise ConfigError("plane.normal: must be a unit vector")
-        start = np.array([0.0, 0.0, cfg.start_elevation])
         if abs(dot3(start - cfg.plane_point, n)) > 1e-6:
             raise ConfigError("plane: the UAV start position (0, 0, start_elevation) must lie on the plane")
     tail = cfg.max_horizon if cfg.ball_motion is BallMotion.BALLISTIC else 0.0
@@ -354,7 +354,7 @@ def _validate_semantics(cfg: ScenarioConfig):
         )
     # distances are norms, so their squares must stay in the float range
     with np.errstate(over="ignore"):
-        start_distance = norm3(cfg.ball_position - hover_init(cfg.start_elevation).position)
+        start_distance = norm3(cfg.ball_position - start)
     if not math.isfinite(start_distance):
         raise ConfigError("ball: its distance from the UAV start position is past the float range")
     reach = cfg.limits.max_speed * (cfg.max_sim_time + cfg.physics_dt)
@@ -528,14 +528,14 @@ def final_prediction_error(result: ScenarioResult) -> float | None:
 def _old_target_left_region(sp: Setpoint, path: PredictedPath, region: ReachableRegion) -> bool:
     """Has the previous path-based target dropped out of the (new) green region?"""
     # the argmin breaks ties between rows on the rounded distance, not on its square;
-    # an overflowed distance is +inf, far from the old target
-    with np.errstate(over="ignore"):
-        d = row_distances(path.positions, sp.target_position)
+    # an overflowed distance is +inf (quiet under run_scenario's errstate), far from the old target
+    d = row_distances(path.positions, sp.target_position)
     j = int(d.argmin())
     k = int(np.searchsorted(region.indices, j))
     return k >= len(region.indices) or int(region.indices[k]) != j
 
 
+@np.errstate(over="ignore")
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run one scenario to termination; fully deterministic given cfg.
 
@@ -551,6 +551,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     predicted and actual crossing points (filled in after the run, once the
     true trajectory is known). A ball whose true path cannot be integrated
     is a ConfigError, raised before the first tick.
+
+    The run is under `np.errstate(over="ignore")`: a distance past the float
+    range is a quiet +inf, which is not a hit and is far from a held target.
     """
     env, params, cam, limits = cfg.environment, cfg.projectile, cfg.camera, cfg.limits
     dt = cfg.physics_dt
@@ -589,16 +592,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     # ground_truth stops at its first sample below ground, so after the start
     # only its last sample can lie below it: the one tick that can end a run on the ground
     ground_tick = last if ballistic and positions[last, 2] < cfg.ground_height else None
-    # The UAV-ball distance overflows only past ~1.3e154 m. The UAV stays within
-    # its reach of the start (in planar2d, give or take a projection's rounding,
-    # which grows with the plane point's distance), so one bound on every
-    # coordinate of a separation decides, before the first tick, whether any
-    # segment needs numpy's overflow warning silenced
-    extent = float(np.abs(positions).max()) + float(np.abs(uav.position).max())
-    extent += limits.max_speed * (cfg.max_sim_time + dt)
-    if planar:
-        extent += float(np.abs(cfg.plane_point).max())
-    may_overflow = not extent < 1e150  # three squares of 1e150 are far inside the float range
 
     # Frame k's noise draws the stream of default_rng((cfg.seed, k)). One pass
     # works out every frame's PCG64 seed words as SeedSequence would (k < 2**32,
@@ -636,13 +629,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         diff = path - positions[k + 1 : k_next + 1]
         # each row's squared length, summed as dot3 sums; a separation past
         # ~1e154 m overflows its square to +inf, which is not a hit
-        if may_overflow:
-            with np.errstate(over="ignore"):
-                diff *= diff
-                sq = np.add.reduce(diff, axis=1)
-        else:
-            diff *= diff
-            sq = np.add.reduce(diff, axis=1)
+        diff *= diff
+        sq = np.add.reduce(diff, axis=1)
         # IEEE sqrt rounds correctly, hence is monotone: the sqrt of the least square is
         # the least distance, each bit for bit what norm3 gives
         seg_min = math.sqrt(float(np.minimum.reduce(sq)))
@@ -693,7 +681,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     end = _tail_end(truth, i, cfg.max_horizon, cfg.ground_height) if ballistic else i
     truth_arr = positions[: end + 1]
     if planar:
-        _fill_planar_errors(cfg, records, truth_arr, dt)
+        _fill_planar_errors(cfg, records, PredictedPath(truth_arr, truth.times[: end + 1]))
     elif predictive:
         segments = _segments(truth_arr)  # a prediction needs two frames, so two or more vertices
         for rec in records:
@@ -772,9 +760,8 @@ def _plan_planar(cfg, queue, obs, uav, stop):
     return sp, predicted_point, None, None
 
 
-def _fill_planar_errors(cfg, records, truth_arr, dt):
+def _fill_planar_errors(cfg, records, truth_path):
     """Score predicted crossings against the true crossing of the ground-truth path."""
-    truth_path = PredictedPath(positions=truth_arr, times=dt * np.arange(len(truth_arr)))
     true_crossing = plane_crossing(truth_path, cfg.plane_point, cfg.plane_normal)
     if true_crossing is None:
         return

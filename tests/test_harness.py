@@ -34,6 +34,7 @@ from catchsim.harness import (
 )
 from catchsim._frame_rng import FrameSeed
 from catchsim.planner import PlanMethod
+from catchsim.predictor import PredictedPath
 from catchsim.sensor import _seed_words, frame_seeds
 from conftest import MAX_NOISE_SIGMA, MAX_POINTS_PER_DETECTION
 
@@ -619,6 +620,29 @@ class TestScenarioOutcomes:
             result = run_scenario(cfg)
         assert not result.intercepted
         assert result.termination_reason in ("ball_lost", "max_time")
+
+    def test_hold_check_past_the_float_range_runs_without_a_warning(self, monkeypatch):
+        # every predicted path ends 1e200 m away: its distance from a held target
+        # overflows to +inf, far from the target, and the run's errstate keeps it quiet
+        predict = harness.predict_from_queue
+
+        def far_end(*args):
+            path = predict(*args)
+            positions = path.positions.copy()
+            positions[-1] = (1e200, 0.0, 0.0)
+            return PredictedPath(positions, path.times)
+
+        monkeypatch.setattr(harness, "predict_from_queue", far_end)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_scenario(bundled_config("D"))
+        assert result.termination_reason in ("intercepted", "ground_impact", "ball_lost", "max_time")
+        assert np.geterr() == before
+        # a frame that keeps the previous target went through the hold check
+        assert any(
+            r.predicted_point is not None and r.setpoint.path_index != r.chosen_index for r in result.records[:-1]
+        )
 
     @pytest.mark.parametrize(
         ("sid", "speed", "dt"),
