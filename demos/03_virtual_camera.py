@@ -14,6 +14,7 @@ from catchsim import (
     CameraModel,
     ProjectileParams,
     detect_centroid,
+    frame_draws,
     frame_schedule,
     hover_init,
     sample_point_cloud,
@@ -46,8 +47,11 @@ for pitch in (0.0, 0.2, 0.4):
     print(f"  pitch {pitch:.1f} rad -> visible: {visible(np.array([4.0, 0.0, 2.0]), tilted, cam)}")
 
 # Detection: sample the camera-facing hemisphere, filter fringes, centroid.
+# A run deals each frame its unit directions and noise from one seeded stream;
+# this is the first frame's share under seed 7.
 ball = np.array([3.0, 0.0, 2.0])
-cloud = sample_point_cloud(ball, params, uav, CameraModel(noise_sigma=0.005, points_per_detection=500), rng_seed=7)
+dirs, noise = next(frame_draws(7, CameraModel(noise_sigma=0.005, points_per_detection=500), 1))
+cloud = sample_point_cloud(ball, params, uav, dirs, noise)
 centroid = detect_centroid(cloud)
 bias = np.linalg.norm(centroid - ball)
 print(f"\n500-point noisy cloud: centroid offset from the true centre = {bias * 1e3:.1f} mm")

@@ -17,7 +17,8 @@ from .physics import (
     drag_coefficient,
     ground_truth,
 )
-from .sensor import CameraModel, Observation, detect_centroid, frame_schedule, observe, sample_point_cloud, visible
+from .sensor import (CameraModel, Observation, detect_centroid, frame_draws, frame_schedule, observe,
+                     sample_point_cloud, visible)
 from .predictor import (
     ObservationQueue,
     PredictedPath,

@@ -59,7 +59,7 @@ from .predictor import (
     predict_path,
     push_observation,
 )
-from .sensor import CameraModel, Observation, frame_schedule, frame_seeds, observe
+from .sensor import CameraModel, Observation, frame_draws, frame_schedule, observe
 from .vehicle import (
     fly,
     hover_init,
@@ -593,16 +593,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     # only its last sample can lie below it: the one tick that can end a run on the ground
     ground_tick = last if ballistic and positions[last, 2] < cfg.ground_height else None
 
-    # Frame k's noise draws the stream of default_rng((cfg.seed, k)). One pass
-    # works out every frame's PCG64 seed words as SeedSequence would (k < 2**32,
-    # since n_ticks <= MAX_TRUTH_SAMPLES); a frame that detects the ball starts
-    # its generator from its row
-    from ._frame_rng import FrameSeed  # numpy.random: imported by the first run, not the package
-
-    seeds = frame_seeds(cfg.seed, frame_ticks)
-    for k, stamp, k_next, words in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks], seeds):
+    # every frame takes its slice of the run's point-cloud draws, whether or not it
+    # detects the ball, so a frame's draws do not depend on what earlier frames did
+    draws = frame_draws(cfg.seed, cam, len(frame_ticks))
+    for k, stamp, k_next, (dirs, noise) in zip(frame_ticks, stamps, [*frame_ticks[1:], n_ticks], draws):
         t = k * dt
-        obs = observe(positions[k], params, uav, cam, stamp, rng_seed=FrameSeed(words))
+        obs = observe(positions[k], params, uav, cam, stamp, dirs, noise)
         decision = sp, None, None, None  # no detection: hold the setpoint, predict nothing
         if obs is not None:
             last_obs_time = t

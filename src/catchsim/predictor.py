@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import BallState, Environment, ProjectileParams, drag_accel, norm3
+from .physics import _NONFINITE_STATE, BallState, Environment, ProjectileParams, drag_accel, norm3
 from .sensor import Observation
 
 
@@ -150,13 +150,17 @@ def predict_path(
     first dips below `stop.ground_height` is retained so a ground crossing
     can still be interpolated from the path.
     """
+    return _propagate(initial.position.tolist(), initial.velocity.tolist(), initial.time, params, env, t_step, stop)
+
+
+def _propagate(position, velocity, t0, params, env, t_step, stop) -> PredictedPath:
+    """predict_path from the seed state's position and velocity floats and its time."""
     if not (math.isfinite(t_step) and t_step > 0.0):
         raise ValueError(f"t_step must be > 0, got {t_step}")
     if stop is None:
         stop = PropagationStop()
-    px, py, pz = initial.position.tolist()
-    vx, vy, vz = initial.velocity.tolist()
-    t0 = initial.time
+    px, py, pz = position
+    vx, vy, vz = velocity
 
     xs = [px]
     ys = [py]
@@ -192,11 +196,14 @@ def predict_from_queue(
     t_step: float = 0.01,
     stop: PropagationStop | None = None,
 ) -> PredictedPath:
-    """Seed a prediction from the queue: newest position, fitted velocity, newest time."""
-    velocity = estimate_velocity(queue)
+    """Seed a prediction from the queue: newest position, fitted velocity, newest time.
+    The seed is checked as BallState checks it and propagated from its floats."""
+    velocity = estimate_velocity(queue).tolist()
     t_newest, p_newest = queue.newest
-    seed = BallState(position=p_newest.copy(), velocity=velocity, time=t_newest)
-    return predict_path(seed, params, env, t_step=t_step, stop=stop)
+    position = p_newest.tolist()
+    if not all(map(math.isfinite, (*position, *velocity, t_newest))):
+        raise ValueError(_NONFINITE_STATE)
+    return _propagate(position, velocity, t_newest, params, env, t_step, stop)
 
 
 def plane_crossing(

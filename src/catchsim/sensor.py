@@ -7,8 +7,8 @@ sampled on the camera-facing hemisphere of the ball surface (optionally
 noisy), run through fringe filtering and a centroid. The camera owns
 the frame clock: `frame_schedule` picks, once per run, the physics ticks
 that carry a frame, so downstream consumers run at the camera rate
-rather than the physics rate, and `frame_seeds` works out each of those
-frames' noise seed.
+rather than the physics rate, and `frame_draws` deals each of those
+frames its point-cloud draws from one stream per run.
 
 Angle conventions (z-up world): yaw is CCW about +z, azimuth is positive
 to the camera's left, elevation positive up, and pitch is a down-tilt of
@@ -18,7 +18,9 @@ the boresight (vehicle tilt under acceleration adds to the mount pitch).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,134 +119,71 @@ def frame_schedule(frame_rate: float, dt: float, n_ticks: int) -> tuple[list[int
     return ticks.tolist(), stamps[ticks].tolist()
 
 
-def _seed_words(seed: int) -> tuple[int, ...]:
-    """The 32-bit words, least significant first, that numpy's SeedSequence makes
-    of a non-negative int: (0,) for 0, and no leading zero word otherwise."""
-    words = [seed & 0xFFFF_FFFF]
-    seed >>= 32
-    while seed:
-        words.append(seed & 0xFFFF_FFFF)
-        seed >>= 32
-    return tuple(words)
+# A block of point-cloud draws holds this many frames, or fewer where
+# that would pass BLOCK_VALUES normal draws; a frame larger than that is a block alone
+BLOCK_FRAMES = 32
+BLOCK_VALUES = 2**16
 
 
-# numpy's SeedSequence: the hash constant's start and multiplier while
-# the entropy is mixed in (A) and while the state is drawn (B), and mix's two multipliers
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+def frame_draws(seed: int, cam: CameraModel, n_frames: int) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Each of `n_frames` frames' point-cloud draws, in frame order: its
+    (points_per_detection, 3) unit directions, and its noise or None.
 
-
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The hash constant before each of `calls` hashes and after the last,
-    uint32: init, then each times mult mod 2**32."""
-    h = [init]
-    for _ in range(calls):
-        h.append(h[-1] * mult & 0xFFFF_FFFF)
-    return np.array(h, dtype=np.uint32)
-
-
-def _consts(h: np.ndarray, calls, shape: tuple[int, ...] = (-1, 1)) -> tuple[np.ndarray, np.ndarray]:
-    """What each of `calls` hashes mixes in (h[c]) and multiplies by (h[c + 1]),
-    as arrays of `shape`, whose last axis broadcasts over the frames."""
-    calls = np.asarray(calls)
-    return h[calls].reshape(shape), h[calls + 1].reshape(shape)
-
-
-def _cross_consts(h: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pool word s's hashes into each pool word: the three others take the
-    next three of h in order, and word s a spare, as the cross-mix keeps it."""
-    first = 4 + 3 * s
-    return _consts(h, [first + d - (d > s) if d != s else first for d in range(4)])
-
-
-_MIX_H = _hash_consts(_INIT_A, _MULT_A, 16)  # four hashes fill the pool, then three per pool word
-_FILL = _consts(_MIX_H, range(4))
-_CROSS = [_cross_consts(_MIX_H, s) for s in range(4)]
-# a PCG64 seed is eight uint32 words, word 4a + b drawn from pool word b
-_DRAW = _consts(_hash_consts(_INIT_B, _MULT_B, 8), range(8), (2, 4, 1))
-
-
-def _hash(v: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """SeedSequence's hashmix of v, broadcast against the constants."""
-    x, m = consts
-    v = v ^ x
-    v *= m
-    v ^= v >> 16
-    return v
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of y into x."""
-    r = x * _MIX_L
-    r -= y * _MIX_R
-    r ^= r >> 16
-    return r
-
-
-def frame_seeds(seed: int, ticks: list[int]) -> np.ndarray:
-    """Each frame's PCG64 seed words, (F, 4) uint64: row f is
-    `np.random.SeedSequence((seed, ticks[f])).generate_state(4, np.uint64)`.
-
-    This is SeedSequence's hash with its pool of four uint32 words, taken
-    for all frames at once. The entropy is the seed's `_seed_words`, then
-    the tick (one word: a tick past 2**32 - 1 raises OverflowError),
-    zero-padded to four words. Only the tick word differs between frames,
-    so each step is one array operation over them. A pool word's hashes
-    into the other three are one step, since it is not written while it is
-    their source, and an entropy word past the fourth is hashed into all
-    four as one step. The hash constants do not depend on the input, so
-    they are worked out once. Every operation is on uint32 arrays, which
-    wrap silently; numpy warns when a uint32 scalar overflows.
+    The directions come from the first child stream of
+    `SeedSequence(seed)` and the noise from the second, which is read only
+    when noise_sigma is positive and is scaled by it. Both streams are read
+    frame-major, a block of frames per call, drawn when the loop reaches
+    the block's first frame: the block size changes only speed, never a
+    value. Every frame takes its slice whether or not it detects the ball,
+    so frame f's draws depend on the seed, f, points_per_detection and
+    noise_sigma alone, not on what earlier frames saw or the planner did.
+    A block's directions are normalised at once, each row's norm the float
+    sum (x*x + y*y) + z*z of its columns.
     """
-    words = _seed_words(seed)
-    n = len(words) + 1
-    entropy = np.zeros((max(n, 4), len(ticks)), dtype=np.uint32)
-    entropy[: n - 1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[n - 1] = ticks
-
-    pool = _hash(entropy[:4], _FILL)
-    for s, consts in enumerate(_CROSS):
-        mixed = _mix(pool, _hash(pool[s], consts))
-        mixed[s] = pool[s]
-        pool = mixed
-    if n > 4:  # each entropy word past the fourth is mixed into every pool word
-        h = _hash_consts(int(_MIX_H[-1]), _MULT_A, 4 * (n - 4))
-        for i in range(n - 4):
-            pool = _mix(pool, _hash(entropy[4 + i], _consts(h, range(4 * i, 4 * i + 4))))
-
-    out = _hash(pool, _DRAW).reshape(8, -1)
-    # word pairs make the uint64s, the first the low half, on any host
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    n = cam.points_per_detection
+    sigma = cam.noise_sigma
+    block = max(1, min(BLOCK_FRAMES, BLOCK_VALUES // (3 * n)))
+    dir_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)  # numpy.random: imported by the first run
+    dir_rng = np.random.default_rng(dir_seq)
+    noise_rng = np.random.default_rng(noise_seq) if sigma > 0.0 else None
+    for start in range(0, n_frames, block):
+        b = min(block, n_frames - start)
+        dirs = dir_rng.standard_normal((b, n, 3))
+        sq = dirs * dirs
+        nrm = sq[..., 0] + sq[..., 1]
+        nrm += sq[..., 2]
+        np.sqrt(nrm, out=nrm)
+        np.maximum(nrm, 1e-300, out=nrm)
+        dirs /= nrm[..., None]
+        noise = repeat(None)
+        if noise_rng is not None:
+            noise = noise_rng.standard_normal((b, n, 3))
+            noise *= sigma
+        yield from zip(dirs, noise)
 
 
 def sample_point_cloud(
     ball_position: np.ndarray,
     params: ProjectileParams,
     uav: "UavState",
-    cam: CameraModel,
-    rng_seed,
+    dirs: np.ndarray,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
     """Sample the camera-facing hemisphere of the ball surface, (N, 3).
 
-    Points are uniform over the hemisphere whose outward normal faces the
-    camera, each perturbed by isotropic Gaussian noise of `noise_sigma`.
-    Deterministic for a fixed seed; the caller gates on visibility.
-    `rng_seed` is anything `np.random.default_rng` takes: an int, a tuple
-    of ints, a seed sequence or a bit generator. The run passes each frame
-    a seed sequence that hands PCG64 the frame's row of `frame_seeds`,
-    which draws the same stream as the frame's (seed, tick).
+    `dirs` and `noise` are one frame's draws from `frame_draws`: N unit
+    directions, and N rows of isotropic Gaussian noise of `noise_sigma`,
+    or None without noise. Each direction that faces away from the camera
+    is mirrored onto the camera-facing hemisphere, so the points are
+    uniform over it; the caller gates on visibility.
 
-    `to_cam`'s length is `norm3`, and each row's norm and its dot product
-    with `to_cam` are the same float sum taken by `add.reduce(..., axis=1)`,
-    the norms in place. Each row is scaled by a radius of r signed as its
-    dot product, which is r times the row mirrored onto the camera-facing
-    hemisphere, since (-r) * d is -(r * d); a dot product of -0.0 mirrors
-    its row too. The ball position and the noise are then added in place.
+    `to_cam`'s length is `norm3`, and each row's dot product with `to_cam`
+    is the float sum taken by `add.reduce(..., axis=1)`. Each row is scaled
+    by a radius of r signed as its dot product, which is r times the row
+    mirrored onto the camera-facing hemisphere, since (-r) * d is -(r * d);
+    a dot product of -0.0 mirrors its row too. The ball position and the
+    noise are then added in place. `dirs` and `noise` are not written.
     """
-    rng = np.random.default_rng(rng_seed)
-    n = cam.points_per_detection
-
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
     norm = norm3(to_cam)
     if norm == 0.0:
@@ -252,19 +191,13 @@ def sample_point_cloud(
     else:
         to_cam /= norm
 
-    dirs = rng.normal(size=(n, 3))
-    nrm = np.add.reduce(dirs * dirs, axis=1)
-    np.sqrt(nrm, out=nrm)
-    np.maximum(nrm, 1e-300, out=nrm)
-    dirs /= nrm[:, None]
-
     # a radius of -r mirrors a row that faces away onto the camera-facing hemisphere
     r = 0.5 * params.diameter_D
-    np.multiply(dirs, np.copysign(r, np.add.reduce(dirs * to_cam, axis=1))[:, None], out=dirs)
-    dirs += ball_position
-    if cam.noise_sigma > 0.0:
-        dirs += rng.normal(scale=cam.noise_sigma, size=(n, 3))
-    return dirs
+    points = dirs * np.copysign(r, np.add.reduce(dirs * to_cam, axis=1))[:, None]
+    points += ball_position
+    if noise is not None:
+        points += noise
+    return points
 
 
 def detect_centroid(points: np.ndarray) -> np.ndarray:
@@ -308,22 +241,23 @@ def observe(
     uav: "UavState",
     cam: CameraModel,
     timestamp: float,
-    rng_seed,
+    dirs: np.ndarray,
+    noise: np.ndarray | None,
 ) -> Observation | None:
     """One camera frame's detection of the ball, or None when it is not visible.
 
     Called once per frame of `frame_schedule`, with that frame's stamp.
     One evaluation of the camera geometry at the true centre gates
     visibility and gives the bearings and edge_fraction; the reported
-    position is the fringe-filtered centroid of the sampled cloud, drawn
-    with `rng_seed` (anything `np.random.default_rng` takes; see
-    sample_point_cloud). A cloud whose centroid is not finite (noise
-    past the float range) is no detection.
+    position is the fringe-filtered centroid of the cloud that
+    sample_point_cloud makes of the frame's draws `dirs` and `noise` (see
+    frame_draws). A cloud whose centroid is not finite (noise past the
+    float range) is no detection.
     """
     az, el, rng = _bearings(ball_position, uav, cam)
     if not _in_view(az, el, rng, cam):
         return None
-    centroid = detect_centroid(sample_point_cloud(ball_position, params, uav, cam, rng_seed))
+    centroid = detect_centroid(sample_point_cloud(ball_position, params, uav, dirs, noise))
     cx, cy, cz = centroid.tolist()
     if not (math.isfinite(cx) and math.isfinite(cy) and math.isfinite(cz)):
         return None

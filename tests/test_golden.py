@@ -5,8 +5,8 @@ Each bundled config's `trace_csv` text and its summary, serialised as
 sha256 each over the concatenated outputs: D and E over noise seeds
 1-50, the chases A, B and C over noise seeds 1-20 (the scenarios of
 perfbench's chase workload), the six bundled configs at the noise seeds
-2**64 + 3 and 2**96 + 5 (with the tick, four and five 32-bit words of
-SeedSequence entropy, where seeds 1-50 give two), and the six bundled
+2**64 + 3 and 2**96 + 5 (three and four 32-bit words of SeedSequence
+entropy, where seeds 1-50 give one), and the six bundled
 configs under each of five edits that move the control loop's timing or
 the vehicle recursion (height compensation, tilt coupling off, a frame
 rate whose period is not a whole number of ticks, a physics step that

@@ -77,7 +77,7 @@ def linear_ball(sid, position, velocity):
 @example(raw=edited("planar2d", plane__point=[5e-7, 0.0, 2.0]))
 # signed distances to the plane whose products overflow
 @example(raw=edited("planar2d", camera__noise_sigma=1e60))
-# with the tick, five 32-bit words of SeedSequence entropy, one past its pool
+# four 32-bit words of SeedSequence entropy, where a bundled seed gives one
 @example(raw=edited("D", seed=2**96 + 5))
 @example(raw=linear_ball("B", [4.0, 1.8, 2.0], [0.0, 0.0, 1.3e154]))  # the UAV-ball distance overflows
 @example(raw=linear_ball("A", [4.0, 0.0, 2.0], [0.0, 0.0, 3e307]))  # the true path overflows

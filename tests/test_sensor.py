@@ -13,6 +13,7 @@ from catchsim.sensor import (
     CameraModel,
     NoDetectionError,
     detect_centroid,
+    frame_draws,
     frame_schedule,
     observe,
     sample_point_cloud,
@@ -28,6 +29,11 @@ def uav_at(p=(0.0, 0.0, 2.0), yaw=0.0, pitch=0.0):
 
 def ball_at(p):
     return np.array(p, dtype=float)
+
+
+def draws(cam, seed):
+    """The first frame's (unit directions, noise or None) of a run with this seed."""
+    return next(frame_draws(seed, cam, 1))
 
 
 class TestVisible:
@@ -76,20 +82,21 @@ class TestVisible:
 class TestSamplePointCloud:
     def test_noiseless_points_on_surface(self):
         params = ProjectileParams()
-        cloud = sample_point_cloud(ball_at((3.0, 0.0, 2.0)), params, uav_at(), CameraModel(), rng_seed=1)
+        cloud = sample_point_cloud(ball_at((3.0, 0.0, 2.0)), params, uav_at(), *draws(CameraModel(), 1))
         radii = np.linalg.norm(cloud - np.array([3.0, 0.0, 2.0]), axis=1)
         assert cloud.shape == (50, 3)
         assert np.allclose(radii, params.diameter_D / 2, atol=1e-12)
 
     def test_same_seed_identical(self):
-        args = (ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(noise_sigma=0.01))
-        a = sample_point_cloud(*args, rng_seed=42)
-        b = sample_point_cloud(*args, rng_seed=42)
+        args = (ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at())
+        cam = CameraModel(noise_sigma=0.01)
+        a = sample_point_cloud(*args, *draws(cam, 42))
+        b = sample_point_cloud(*args, *draws(cam, 42))
         assert np.array_equal(a, b)
 
     def test_camera_facing_hemisphere(self):
         ball = ball_at((3.0, 0.0, 2.0))
-        cloud = sample_point_cloud(ball, ProjectileParams(), uav_at(), CameraModel(), rng_seed=9)
+        cloud = sample_point_cloud(ball, ProjectileParams(), uav_at(), *draws(CameraModel(), 9))
         to_cam = (uav_at().position - ball) / np.linalg.norm(uav_at().position - ball)
         assert np.all((cloud - ball) @ to_cam >= -1e-12)
 
@@ -98,7 +105,7 @@ class TestSamplePointCloud:
         sigma = 0.005
         cam = CameraModel(noise_sigma=sigma, points_per_detection=10_000)
         params = ProjectileParams()
-        cloud = sample_point_cloud(ball_at((3.0, 0.0, 2.0)), params, uav_at(), cam, rng_seed=4)
+        cloud = sample_point_cloud(ball_at((3.0, 0.0, 2.0)), params, uav_at(), *draws(cam, 4))
         radial = np.linalg.norm(cloud - np.array([3.0, 0.0, 2.0]), axis=1) - params.diameter_D / 2
         assert abs(radial.std() - sigma) < 0.1 * sigma, f"std {radial.std():.5f}"
 
@@ -132,12 +139,11 @@ class TestDetectCentroid:
             detect_centroid(np.empty((0, 3)))
 
 
-def reference_cloud(ball_position, params, uav, cam, rng_seed):
+def reference_cloud(ball_position, params, uav, dirs, noise):
     """The numpy-wrapper pipeline `sample_point_cloud` reproduces bit for bit. Each
     dot product is the float sum (x*x' + y*y') + z*z', the rows' in column form;
     a row whose dot product with `to_cam` has its sign bit set (-0.0 too) is mirrored."""
-    rng = np.random.default_rng(rng_seed)
-    n = cam.points_per_detection
+    dirs = dirs.copy()
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
     x, y, z = to_cam.tolist()
     norm = math.sqrt((x * x + y * y) + z * z)
@@ -145,14 +151,12 @@ def reference_cloud(ball_position, params, uav, cam, rng_seed):
         to_cam = np.array([1.0, 0.0, 0.0])
     else:
         to_cam = to_cam / norm
-    dirs = rng.normal(size=(n, 3))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
     x, y, z = to_cam.tolist()
     facing = (dirs[:, 0] * x + dirs[:, 1] * y) + dirs[:, 2] * z
     dirs[np.signbit(facing)] *= -1.0
     points = ball_position + 0.5 * params.diameter_D * dirs
-    if cam.noise_sigma > 0.0:
-        points = points + rng.normal(scale=cam.noise_sigma, size=(n, 3))
+    if noise is not None:
+        points = points + noise
     return points
 
 
@@ -200,8 +204,11 @@ class TestLeanDetectionMatchesReference:
         drone = uav_at(ball if uav is None else uav)
         cam = CameraModel(noise_sigma=sigma, points_per_detection=n)
         params = ProjectileParams()
-        cloud = sample_point_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
-        ref = reference_cloud(ball, params, drone, cam, rng_seed=(seed, 3))
+        dirs, noise = draws(cam, seed)
+        unit = dirs.tobytes()
+        cloud = sample_point_cloud(ball, params, drone, dirs, noise)
+        assert dirs.tobytes() == unit  # the frame's draws are read, not written
+        ref = reference_cloud(ball, params, drone, dirs, noise)
         assert cloud.tobytes() == ref.tobytes()
         centroid = detect_centroid(cloud)
         assert centroid.tobytes() == reference_centroid(ref).tobytes()
@@ -217,38 +224,40 @@ class TestLeanDetectionMatchesReference:
 
 class TestObserve:
     def test_boresight_zero_edge_fraction(self):
-        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0, 1)
+        cam = CameraModel()
+        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, *draws(cam, 1))
         assert out is not None
         assert out.edge_fraction == 0.0
         assert out.bearing_azimuth == 0.0 and out.bearing_elevation == 0.0
 
     def test_invisible_gives_none(self):
-        assert observe(ball_at((-3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0, 1) is None
+        cam = CameraModel()
+        assert observe(ball_at((-3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, *draws(cam, 1)) is None
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_noise_past_the_float_range_gives_none(self):
         cam = CameraModel(noise_sigma=1e308)
-        assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, 1) is None
+        assert observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0, *draws(cam, 1)) is None
 
     def test_noisy_position_is_the_reference_centroid(self):
         ball, params, uav = ball_at((3.0, 0.5, 2.2)), ProjectileParams(), uav_at()
         cam = CameraModel(noise_sigma=0.01)
-        out = observe(ball, params, uav, cam, 0.0, rng_seed=(7, 120))
+        dirs, noise = draws(cam, 7)
+        out = observe(ball, params, uav, cam, 0.0, dirs, noise)
         assert out is not None
-        expected = reference_centroid(reference_cloud(ball, params, uav, cam, rng_seed=(7, 120)))
+        expected = reference_centroid(reference_cloud(ball, params, uav, dirs, noise))
         assert out.position.tobytes() == expected.tobytes()
 
     def test_timestamp_is_the_given_stamp(self):
-        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), CameraModel(), 0.0025, 1)
+        cam = CameraModel()
+        out = observe(ball_at((3.0, 0.0, 2.0)), ProjectileParams(), uav_at(), cam, 0.0025, *draws(cam, 1))
         assert out.timestamp == 0.0025
 
     def test_centroid_bias_within_one_radius(self):
         # hemisphere sampling biases the centroid toward the camera by < D/2
         params = ProjectileParams()
-        out = observe(
-            ball_at((3.0, 0.0, 2.0)), params,
-            uav_at(), CameraModel(points_per_detection=200), 0.0, 7,
-        )
+        cam = CameraModel(points_per_detection=200)
+        out = observe(ball_at((3.0, 0.0, 2.0)), params, uav_at(), cam, 0.0, *draws(cam, 7))
         assert out is not None
         assert np.linalg.norm(out.position - np.array([3.0, 0.0, 2.0])) <= params.diameter_D / 2
 
@@ -258,9 +267,9 @@ class TestObserve:
         uav = uav_at()
         rng = np.random.default_rng(12)
         emitted = 0
-        for i in range(300):
+        for dirs, noise in frame_draws(5, cam, 300):
             pos = rng.uniform([-4, -4, 0], [6, 4, 5])
-            out = observe(ball_at(pos), params, uav, cam, 0.0, rng_seed=(5, i))
+            out = observe(ball_at(pos), params, uav, cam, 0.0, dirs, noise)
             if out is not None:
                 emitted += 1
                 assert out.edge_fraction < 1.0
