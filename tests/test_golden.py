@@ -44,37 +44,37 @@ from catchsim.planner import PlanMethod
 
 GOLDEN = {
     "A": (
-        "56c15bae47dd4b77cf50b811f23b30d1e043a7592972918fbf9c77ccf8019c10",
-        "6cb5705697f17cc58bfa48d4dfc977ebbc9dd70cba0fe2f70414787c7f96a0ea",
+        "78f217e9f3437ee7060658385552f14e24b148e6da41bac5b6728a3d63147eec",
+        "9432bd18a46f9b3a23eae598f76318fa4f1eaeda24f9b3df50621be4de2edd55",
     ),
     "B": (
-        "7c9236a7ef3f2702af724681194b9435018baa69019a2e4a4e974d1ffc4e530f",
-        "49c63e900305fc1c7244f26c65e4858c57e0a630486f17ef807270562354d7b9",
+        "b97f33c4f00182ecc343fd2783179a76dee9e47dd3d38b1d30a7e3481fa11fb2",
+        "e4e90034a9fbfc5921870dfa3b006e4e88bbcd3e1fe997d850ff1915f71749ce",
     ),
     "C": (
-        "6c70b8af25fba77d26845a5a9b30ae5612f8ac80e5c92bebfe2442c261e15cfe",
-        "ec0c6d29bd7f75a3a559ba67cc3b9b179294a4ad5acb8b8223aacd94dd087c4b",
+        "d6a207482df4ed6149706a91ff34a770894273f527ec40f93a486ce1f0cd6ad6",
+        "c22d3c87225e418e09efc59702ce3b6947630aeb40d90c734f93b59a030fc447",
     ),
     "D": (
-        "23139ba3c6c6de8f24792856dcd02acda75a6b293d96ea6f87525aecf9050739",
-        "812b595ab4394a9fcb2a98e6021f3f3c7fa303f8e5547d7cdebb4e4174c74234",
+        "7f09ea7d72f342749f8938429b66ecef6b7371e419b590e56250c4d0dcddb3c0",
+        "9f0052e11f3c549102e679c633612129681144005e0aca435bfd38ee458d7d49",
     ),
     "E": (
-        "4802eaa9afeb05274b9b2d31b475739f25c612b82daad08b362019e03e9afcfc",
-        "2df7c62c4fd861feea8ada708962162b835a437710d7881fcc41326a6f70579a",
+        "dcae3fa1ef06e7b525987b1327de60c89025938b8d91ecc0fdc89881c15e4b4a",
+        "7d5606d6614145841a6c51ed2ca134f24852078aff1573933f60f6ab339a3bee",
     ),
     "planar2d": (
-        "56f354c7e2ccf6080af93fe9477e37bd34a171416ae1738ecbd27d031d80ef5c",
-        "882990fd0109ef9c28f0a3022b1693f560ba336908915a8b2775b116d712a54f",
+        "d7c5ece507ed1b82e3095ecd59717ba6bec66d7d9499888e8e558f342b0cdc42",
+        "29f72979d34a0cd666b3a02ed073dfa41034ff743bdf192c9364e64273d65fb3",
     ),
 }
 
 
-SEEDS_SHA256 = "4687475ddb802e534694b460393dc55a5e873777b346a408671b35e7e6d07480"
-CHASE_SEEDS_SHA256 = "d209123bcfd16320c34fc8367d9303341e88bf5059c9e13976afa191cd897087"
-LONG_SEEDS_SHA256 = "53024f1ed37266fdc5b41962a7aa295d2f6cb4e06471668ff3c9bd97b3256d95"
+SEEDS_SHA256 = "d419092a3286d016a224ab1704e72512608ddd8620a5db310dd7d61eeac9564e"
+CHASE_SEEDS_SHA256 = "32df646a326b6cbe215da9bbd2007fbdc8bf2c46ea90f29b7565f3fdf9680667"
+LONG_SEEDS_SHA256 = "032c28b366e6a6e3a8682da86d2325316a94db7054a556a716757a4ce93fc113"
 LONG_SEEDS = (2**64 + 3, 2**96 + 5)
-EDITED_SHA256 = "4747fd76dd50a0cd79e38c466911ad221c8e23e407aec0e951671ebbec2241e6"
+EDITED_SHA256 = "eb492837a6211c0ad9e06f5a1e33a770f950736e5deca6c34b705c796d8bdcbf"
 EDITS = (
     (("uav", "height_comp_gain"), 0.5),
     (("planner", "tilt_coupling"), False),
@@ -82,7 +82,7 @@ EDITS = (
     (("physics_dt",), 0.0007),
     (("max_sim_time",), 0.05),
 )
-METHODS_SHA256 = "66b99531af635ba6779a2a7adb51e2a997b1aaec714465799ff4ca3d1189cc76"
+METHODS_SHA256 = "5c71ceb7efdad4854f430bc4c69bc806a3e593bd323a1bc3ef3cc4e0dc6b02e9"
 METHOD_RUNS = (
     [(sid, PlanMethod.CAT_MOUSE) for sid in ("A", "B", "C")]
     + [(sid, method) for sid in ("D", "E") for method in PlanMethod]

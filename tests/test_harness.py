@@ -764,7 +764,7 @@ class TestScenarioOutcomes:
             with pytest.raises(ConfigError, match=r"^ball: the true path cannot be integrated \(BallState"):
                 run_scenario(config_from_dict(raw))
 
-    @pytest.mark.parametrize("sid, n_predicted, n_held, n_fallback", [("D", 27, 23, 1), ("E", 30, 11, 2)])
+    @pytest.mark.parametrize("sid, n_predicted, n_held, n_fallback", [("D", 21, 14, 1), ("E", 27, 13, 3)])
     def test_predictive_frames_adopt_hold_or_fall_back(self, sid, n_predicted, n_held, n_fallback):
         # each detection either adopts the chosen path row, holds the previous
         # frame's target (the new choice moved no more than hysteresis_dist),

@@ -133,7 +133,7 @@ TILTED = [
     for normal in ((0.8, 0.6, 0.0), (0.6, -0.8, 0.0), (0.48, 0.64, 0.6), (0.6, 0.0, 0.8))
     for seed in (1, 2, 3)
 ]
-TILTED_SHA256 = "e2ae5ef9866c8f4af1ff1870971cb2d40ec41206e239a9a9402046a5e6605a18"
+TILTED_SHA256 = "3639feb74201b04ec8f7dc745487c93f07deb2fd0609c88560d446e03a014ccc"
 
 
 def tilted(normal, seed: int) -> dict:
