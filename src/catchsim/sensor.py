@@ -182,7 +182,8 @@ def sample_point_cloud(
     by a radius of r signed as its dot product, which is r times the row
     mirrored onto the camera-facing hemisphere, since (-r) * d is -(r * d);
     a dot product of -0.0 mirrors its row too. The ball position and the
-    noise are then added in place. `dirs` and `noise` are not written.
+    noise are then added to those rows in place; `dirs` and `noise` are
+    only read.
     """
     to_cam = np.asarray(uav.position, dtype=float) - ball_position
     norm = norm3(to_cam)

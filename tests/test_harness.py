@@ -598,8 +598,8 @@ class TestFrameDraws:
         assert runs[0] == runs[1]
 
     def test_earlier_detections_change_no_later_draw(self, monkeypatch):
-        # at a 3 m range E's first frames detect other frames than bundled E's,
-        # and from frame 21 on both detect; each frame's draws are the same
+        # at a 3 m range E's first 21 frames detect otherwise than bundled E's,
+        # and frames 21-31 detect in both; each frame's draws are the same
         raw = bundled_config("E").to_dict()
         raw["camera"]["max_range"] = 3.0
         _, near, near_run = recorded_draws(config_from_dict(raw), monkeypatch)
