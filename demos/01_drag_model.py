@@ -11,7 +11,7 @@ from catchsim import Environment, ProjectileParams, drag_accel, drag_coefficient
 
 env = Environment()
 ball = ProjectileParams()
-# the acceleration field the simulator's RK4 truth and predictor use: velocity -> gravity + drag
+# velocity -> gravity + drag: the reference arithmetic the simulator's RK4 truth and predictor evaluate inline
 accel = drag_accel(ball, env)
 
 

@@ -14,9 +14,9 @@ the denominator of its term; the terms add left to right as written.
 `dot3` and `norm3` are the one form of a 3-term dot product and norm
 that every layer uses.
 
-`drag_accel` binds this model to one ball and one air once, as a
-function of velocity; the RK4 ground truth and the predictor each bind
-it once per path and call it at every evaluation.
+The RK4 truth and the predictor evaluate this model inline in their loops;
+`drag_coefficient`, `drag_accel` (the model bound to a ball and air) and
+`step_ground_truth` are the reference the tests pin them to, bit for bit.
 
 Ground truth integrates with classical RK4 so it stays a strictly
 finer-grained reference than the explicit kinematic propagation used by
@@ -162,9 +162,9 @@ def drag_accel(params: ProjectileParams, env: Environment) -> Accel:
     """The acceleration field (gravity + drag) of this ball in this air, bound once:
     a function (vx, vy, vz) -> (ax, ay, az) in m/s^2.
 
-    Drag is -k v with k = (D_r / m) / V. The truth integrator and the
-    predictor each bind one per path, so the parameters and the drag mode
-    are read once, not at every evaluation.
+    Drag is -k v with k = (D_r / m) / V. The parameters and the drag mode
+    are read once, not at every evaluation. `ground_truth` and the
+    predictor write this arithmetic out in their loops; this is its reference.
     """
     g = env.gravity_g
     if params.drag_mode is DragMode.NONE:
@@ -296,10 +296,64 @@ def ground_truth(
         px, py, pz = p0.tolist()
         vx, vy, vz = v0.tolist()
         samples = [px, py, pz]  # x, y, z of each sample in turn
-        accel = drag_accel(params, env)
-        isfinite = math.isfinite
+        # _rk4_step under drag_accel, its four evaluations written out: the same float operations
+        free, g, half_rho = params.drag_mode is DragMode.NONE, env.gravity_g, 0.5 * env.air_density_rho
+        D, nu, A, m = params.diameter_D, env.kinematic_viscosity_nu, params.reference_area_A, params.mass_m
+        floor, inf, sqrt, isfinite, h, sixth = _SPEED_FLOOR, math.inf, math.sqrt, math.isfinite, 0.5 * dt, dt / 6.0
         for _ in range(truth_length(motion, dt, n_ticks, tail_time) - 1):
-            px, py, pz, vx, vy, vz = _rk4_step(px, py, pz, vx, vy, vz, accel, dt)
+            speed = sqrt(vx * vx + vy * vy + vz * vz)
+            if free or speed < floor:
+                a1x, a1y, a1z = 0.0, 0.0, -g
+            else:
+                Re = speed * D / nu
+                if not 0.0 < Re < inf:
+                    drag_coefficient(Re)  # raises its ValueError
+                r5, rc, r6 = Re / 5.0, Re / 2.63e5, Re / 1.0e6
+                k = half_rho * (24.0 / Re + 2.6 * r5 / (1.0 + r5**1.52) + 0.411 * rc**-7.94 / (1.0 + rc**-8.0)
+                                + 0.25 * r6 / (1.0 + r6)) * speed * speed * A / m / speed
+                a1x, a1y, a1z = -k * vx, -k * vy, -g - k * vz
+            v2x, v2y, v2z = vx + h * a1x, vy + h * a1y, vz + h * a1z
+            speed = sqrt(v2x * v2x + v2y * v2y + v2z * v2z)
+            if free or speed < floor:
+                a2x, a2y, a2z = 0.0, 0.0, -g
+            else:
+                Re = speed * D / nu
+                if not 0.0 < Re < inf:
+                    drag_coefficient(Re)  # raises its ValueError
+                r5, rc, r6 = Re / 5.0, Re / 2.63e5, Re / 1.0e6
+                k = half_rho * (24.0 / Re + 2.6 * r5 / (1.0 + r5**1.52) + 0.411 * rc**-7.94 / (1.0 + rc**-8.0)
+                                + 0.25 * r6 / (1.0 + r6)) * speed * speed * A / m / speed
+                a2x, a2y, a2z = -k * v2x, -k * v2y, -g - k * v2z
+            v3x, v3y, v3z = vx + h * a2x, vy + h * a2y, vz + h * a2z
+            speed = sqrt(v3x * v3x + v3y * v3y + v3z * v3z)
+            if free or speed < floor:
+                a3x, a3y, a3z = 0.0, 0.0, -g
+            else:
+                Re = speed * D / nu
+                if not 0.0 < Re < inf:
+                    drag_coefficient(Re)  # raises its ValueError
+                r5, rc, r6 = Re / 5.0, Re / 2.63e5, Re / 1.0e6
+                k = half_rho * (24.0 / Re + 2.6 * r5 / (1.0 + r5**1.52) + 0.411 * rc**-7.94 / (1.0 + rc**-8.0)
+                                + 0.25 * r6 / (1.0 + r6)) * speed * speed * A / m / speed
+                a3x, a3y, a3z = -k * v3x, -k * v3y, -g - k * v3z
+            v4x, v4y, v4z = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
+            speed = sqrt(v4x * v4x + v4y * v4y + v4z * v4z)
+            if free or speed < floor:
+                a4x, a4y, a4z = 0.0, 0.0, -g
+            else:
+                Re = speed * D / nu
+                if not 0.0 < Re < inf:
+                    drag_coefficient(Re)  # raises its ValueError
+                r5, rc, r6 = Re / 5.0, Re / 2.63e5, Re / 1.0e6
+                k = half_rho * (24.0 / Re + 2.6 * r5 / (1.0 + r5**1.52) + 0.411 * rc**-7.94 / (1.0 + rc**-8.0)
+                                + 0.25 * r6 / (1.0 + r6)) * speed * speed * A / m / speed
+                a4x, a4y, a4z = -k * v4x, -k * v4y, -g - k * v4z
+            px = px + sixth * (vx + 2.0 * v2x + 2.0 * v3x + v4x)
+            py = py + sixth * (vy + 2.0 * v2y + 2.0 * v3y + v4y)
+            pz = pz + sixth * (vz + 2.0 * v2z + 2.0 * v3z + v4z)
+            vx = vx + sixth * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+            vy = vy + sixth * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+            vz = vz + sixth * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
             if not (isfinite(px) and isfinite(py) and isfinite(pz)
                     and isfinite(vx) and isfinite(vy) and isfinite(vz)):
                 raise ValueError(_NONFINITE_STATE)

@@ -8,9 +8,10 @@ with the explicit kinematic update
     p <- p + v dt + 1/2 a dt^2
     v <- v + a dt
 
-where the acceleration is recomputed every step from the shared drag
-model. This is deliberately coarser than the RK4 ground truth so the two
-can be compared as independent routes.
+where the acceleration is recomputed every step from the drag model,
+evaluated inline as `physics.drag_accel` evaluates it, bit for bit. This
+is deliberately coarser than the RK4 ground truth so the two can be
+compared as independent routes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .physics import _NONFINITE_STATE, BallState, Environment, ProjectileParams, drag_accel, norm3
+from .physics import (
+    _NONFINITE_STATE, _SPEED_FLOOR, BallState, DragMode, Environment, ProjectileParams, drag_coefficient, norm3
+)
 from .sensor import Observation
 
 
@@ -167,10 +170,22 @@ def _propagate(position, velocity, t0, params, env, t_step, stop) -> PredictedPa
     zs = [pz]
     max_steps = int(math.floor(stop.max_horizon / t_step + 1e-9))
     ground = stop.ground_height
-    accel = drag_accel(params, env)
-    half = 0.5 * t_step * t_step
+    # drag_accel(params, env) written out at each step: the same float operations, without the calls
+    free, g, half_rho = params.drag_mode is DragMode.NONE, env.gravity_g, 0.5 * env.air_density_rho
+    D, nu, A, m = params.diameter_D, env.kinematic_viscosity_nu, params.reference_area_A, params.mass_m
+    floor, inf, sqrt, half = _SPEED_FLOOR, math.inf, math.sqrt, 0.5 * t_step * t_step
     for _ in range(max_steps):
-        ax, ay, az = accel(vx, vy, vz)
+        speed = sqrt(vx * vx + vy * vy + vz * vz)
+        if free or speed < floor:
+            ax, ay, az = 0.0, 0.0, -g
+        else:
+            Re = speed * D / nu
+            if not 0.0 < Re < inf:
+                drag_coefficient(Re)  # raises its ValueError
+            r5, rc, r6 = Re / 5.0, Re / 2.63e5, Re / 1.0e6
+            k = half_rho * (24.0 / Re + 2.6 * r5 / (1.0 + r5**1.52) + 0.411 * rc**-7.94 / (1.0 + rc**-8.0)
+                            + 0.25 * r6 / (1.0 + r6)) * speed * speed * A / m / speed
+            ax, ay, az = -k * vx, -k * vy, -g - k * vz
         px += vx * t_step + ax * half
         py += vy * t_step + ay * half
         pz += vz * t_step + az * half

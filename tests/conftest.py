@@ -1,8 +1,10 @@
 """Fixtures shared by the tests: the schema, its leaves and the camera's two
 upper bounds it declares; the bundled configs, and one Hypothesis strategy
 of edits to them built from the schema, with a bound on what a run of one
-costs; and the per-tick frame rule shared by the frame-schedule and segment
-tests."""
+costs; the per-tick frame rule shared by the frame-schedule and segment
+tests; the drag model's inputs, drawn for the properties that pin the
+truth's and the predictor's inline drag to its reference; and bundled D and
+E over noise seeds 1-50, run once per session."""
 
 import json
 import math
@@ -12,7 +14,8 @@ from importlib import resources
 import pytest
 from hypothesis import strategies as st
 
-from catchsim.harness import _BOUNDS
+from catchsim.harness import _BOUNDS, config_from_dict, run_scenario
+from catchsim.physics import _SPEED_FLOOR, DragMode, Environment, ProjectileParams
 from catchsim.sensor import frame_schedule
 
 _SCENARIO_FILES = resources.files("catchsim.scenarios")
@@ -134,6 +137,40 @@ def carries_frame(k: int, dt: float, frame_rate: float) -> bool:
     if abs(t - stamp) <= 0.5 * dt:
         return True
     return round(u * frame_rate) == frame and t < stamp < u and abs(u - stamp) > 0.5 * dt
+
+
+# A ball (mass, diameter, area or None for pi D^2 / 4, drag mode) and an air
+# (g from 0, rho, nu) for the drag model's bit-for-bit properties
+balls = st.builds(
+    ProjectileParams,
+    st.floats(1e-6, 10.0),
+    st.floats(1e-4, 1.0),
+    st.one_of(st.none(), st.floats(1e-8, 1.0)),
+    st.sampled_from(DragMode),
+)
+airs = st.builds(Environment, st.floats(0.0, 20.0), st.floats(1e-3, 100.0), st.floats(1e-7, 1e-2))
+# one velocity component: ordinary speeds, at and below the rest floor, both
+# signed zeros, and magnitudes whose speed or Re leaves the float range
+velocity_component = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.floats(-_SPEED_FLOOR, _SPEED_FLOOR),
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-1e300, 1e300),
+)
+
+
+@pytest.fixture(scope="session")
+def thrown_seed_sweep():
+    """Bundled D and E over noise seeds 1-50 (criterion 6's sweep), run once
+    per session: {(scenario id, seed): ScenarioResult}."""
+    results = {}
+    for sid in ("D", "E"):
+        raw = bundled_raw(sid)
+        for seed in range(1, 51):
+            raw["seed"] = seed
+            results[sid, seed] = run_scenario(config_from_dict(raw))
+    return results
 
 
 @pytest.fixture

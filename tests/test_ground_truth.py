@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchsim import physics
@@ -19,6 +19,7 @@ from catchsim.physics import (
     ground_truth,
     step_ground_truth,
 )
+from conftest import airs, balls, velocity_component
 
 
 @pytest.fixture(autouse=True)
@@ -67,20 +68,57 @@ def test_bundled_throws_match_stepping(sid):
     )
 
 
-@settings(max_examples=25, deadline=None)
+def stepping_error(p0, v0, params, env, dt, ground_height, last):
+    """What repeated step_ground_truth raises before the path would stop, or None."""
+    state = BallState(np.array(p0, dtype=float), np.array(v0, dtype=float), 0.0)
+    try:
+        for _ in range(last):
+            state = step_ground_truth(state, params, env, dt)
+            if state.position[2] < ground_height:
+                return None
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    p0=st.tuples(*[st.floats(-5.0, 5.0)] * 2, st.floats(0.0, 4.0)),
-    v0=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    p0=st.tuples(*[st.floats(-5.0, 5.0)] * 2, st.one_of(st.floats(0.0, 4.0), st.just(-0.0))),
+    v0=st.tuples(velocity_component, velocity_component, velocity_component),
+    params=balls,
+    env=airs,
     dt=st.floats(2e-4, 5e-3),
     n_ticks=st.integers(0, 150),
     tail=st.floats(0.0, 0.2),
-    drag_mode=st.sampled_from([DragMode.VELOCITY_OPPOSED, DragMode.NONE]),
 )
-def test_random_throws_match_stepping(p0, v0, dt, n_ticks, tail, drag_mode):
-    params, env = ProjectileParams(drag_mode=drag_mode), Environment()
-    truth = ground_truth(BallMotion.BALLISTIC, p0, v0, params, env, dt, 0.0, n_ticks, tail)
+# at rest, and drag-free, with no gravity: the signed zeros of -g reach the positions
+@example((0.0, 0.0, -0.0), (0.0, 0.0, -0.0), ProjectileParams(), Environment(gravity_g=0.0), 1e-3, 5, 0.0)
+@example(
+    (0.0, 0.0, -0.0), (0.0, 0.0, -0.0), ProjectileParams(drag_mode=DragMode.NONE), Environment(gravity_g=0.0),
+    1e-3, 5, 0.0,
+)
+# the speed, and with it Re, overflows to inf
+@example((0.0, 0.0, 1.0), (1e300, 1e300, 0.0), ProjectileParams(), Environment(), 1e-3, 5, 0.0)
+# a 0.5 m, 50 g ball in air five times as dense, thrown up from the origin: drag is a large
+# share of each step, and the first sample's bits show the order in which Cd's terms add
+@example(
+    (0.0, 0.0, 0.0), (0.0, 0.0, 7.0), ProjectileParams(mass_m=0.05, diameter_D=0.5), Environment(air_density_rho=5.0),
+    1e-3, 4, 0.0,
+)
+# Re = 1e-34: (Re / 2.63e5) ** -7.94 overflows
+@example(
+    (0.0, 0.0, 1.0), (1e-6, 0.0, 0.0), ProjectileParams(diameter_D=1e-30), Environment(kinematic_viscosity_nu=1e-2),
+    1e-3, 5, 0.0,
+)
+def test_random_throws_match_stepping(p0, v0, params, env, dt, n_ticks, tail):
+    # every constant the RK4 steps read is drawn, as TestDragAccel draws them
     last = n_ticks + math.ceil(tail / dt) + 1
-    assert_matches_stepping(truth, p0, v0, params, env, dt, 0.0, last)
+    try:
+        truth = ground_truth(BallMotion.BALLISTIC, p0, v0, params, env, dt, 0.0, n_ticks, tail)
+    except (ArithmeticError, ValueError) as e:
+        assert (type(e), str(e)) == stepping_error(p0, v0, params, env, dt, 0.0, last)
+    else:
+        assert_matches_stepping(truth, p0, v0, params, env, dt, 0.0, last)
 
 
 @pytest.mark.parametrize("motion", [BallMotion.LINEAR, BallMotion.FROZEN])

@@ -653,14 +653,12 @@ class TestScenarioOutcomes:
         result = run_scenario(bundled_config("C"))
         assert result.intercepted
 
-    def test_d_prediction_error_shape(self):
+    def test_d_prediction_error_shape(self, thrown_seed_sweep):
         # the error shrinks over the flight in expectation over the noise: averaged
         # over seeds 1-50 (criterion 6's), and in at least 90 % of them alone
-        raw = bundled_config("D").to_dict()
         first, last = [], []
         for seed in range(1, 51):
-            raw["seed"] = seed
-            result = run_scenario(config_from_dict(raw))
+            result = thrown_seed_sweep["D", seed]
             errs = [r.prediction_error for r in result.records if r.prediction_error is not None]
             q = max(1, len(errs) // 4)
             first.append(np.mean(errs[:q]))

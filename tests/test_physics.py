@@ -24,6 +24,7 @@ from catchsim.physics import (
     drag_coefficient,
     step_ground_truth,
 )
+from conftest import airs, balls, velocity_component
 
 # Independent term-by-term evaluation of the drag correlation (cross-checked
 # against a 40-digit mpmath evaluation): t1 + t2 + t3 + t4 at Re = 2700.
@@ -147,34 +148,14 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-component = st.one_of(
-    st.floats(-60.0, 60.0),
-    st.floats(-_SPEED_FLOOR, _SPEED_FLOOR),  # below the rest floor
-    st.just(0.0),
-    st.just(-0.0),
-    st.floats(-1e300, 1e300),  # Re past the float range
-)
-
-
 class TestDragAccel:
     @settings(max_examples=400, deadline=None)
-    @given(
-        mass=st.floats(1e-6, 10.0),
-        diameter=st.floats(1e-4, 1.0),
-        area=st.one_of(st.none(), st.floats(1e-8, 1.0)),
-        mode=st.sampled_from(DragMode),
-        rho=st.floats(1e-3, 100.0),
-        nu=st.floats(1e-7, 1e-2),
-        g=st.floats(0.0, 20.0),
-        v=st.tuples(component, component, component),
-    )
-    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (0.0, 0.0, 0.0))
-    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (-0.0, 5e-13, 0.0))
-    @example(2.7e-3, 0.04, None, DragMode.VELOCITY_OPPOSED, 1.204, 1.5e-5, 9.81, (3.0, -1.0, 4.5))
-    @example(2.7e-3, 0.04, None, DragMode.NONE, 1.204, 1.5e-5, 9.81, (3.0, -1.0, 4.5))
-    def test_equals_the_old_arithmetic_bit_for_bit(self, mass, diameter, area, mode, rho, nu, g, v):
-        params = ProjectileParams(mass, diameter, area, mode)
-        env = Environment(g, rho, nu)
+    @given(params=balls, env=airs, v=st.tuples(velocity_component, velocity_component, velocity_component))
+    @example(ProjectileParams(), Environment(), (0.0, 0.0, 0.0))
+    @example(ProjectileParams(), Environment(), (-0.0, 5e-13, 0.0))
+    @example(ProjectileParams(), Environment(), (3.0, -1.0, 4.5))
+    @example(ProjectileParams(drag_mode=DragMode.NONE), Environment(), (3.0, -1.0, 4.5))
+    def test_equals_the_old_arithmetic_bit_for_bit(self, params, env, v):
         assert outcome(drag_accel(params, env), *v) == outcome(reference_accel, *v, params, env)
 
     def test_overflowing_reynolds_number_raises_the_same_error(self):

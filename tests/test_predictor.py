@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchsim.physics import BallState, DragMode, Environment, ProjectileParams, step_ground_truth
+from catchsim.physics import BallState, DragMode, Environment, ProjectileParams, drag_accel, step_ground_truth
 from catchsim.predictor import (
     DegenerateRegressionError,
     InsufficientDataError,
@@ -22,6 +22,7 @@ from catchsim.predictor import (
     push_observation,
 )
 from catchsim.sensor import Observation
+from conftest import airs, balls, velocity_component
 
 
 def obs(t, p):
@@ -236,6 +237,83 @@ class TestPredictPath:
         path = predict_path(seed, params, env, t_step=0.01, stop=PropagationStop(3.0, 0.0))
         assert path.positions[-1, 2] < 0.0
         assert np.all(path.positions[:-1, 2] >= 0.0)
+
+
+def reference_propagate(initial, params, env, t_step=0.01, stop=None):
+    """predict_path as it read with the drag model called at every step: the
+    closure drag_accel binds, which calls drag_coefficient."""
+    if not (math.isfinite(t_step) and t_step > 0.0):
+        raise ValueError(f"t_step must be > 0, got {t_step}")
+    if stop is None:
+        stop = PropagationStop()
+    px, py, pz = initial.position.tolist()
+    vx, vy, vz = initial.velocity.tolist()
+    xs, ys, zs = [px], [py], [pz]
+    accel = drag_accel(params, env)
+    half = 0.5 * t_step * t_step
+    for _ in range(int(math.floor(stop.max_horizon / t_step + 1e-9))):
+        ax, ay, az = accel(vx, vy, vz)
+        px += vx * t_step + ax * half
+        py += vy * t_step + ay * half
+        pz += vz * t_step + az * half
+        vx += ax * t_step
+        vy += ay * t_step
+        vz += az * t_step
+        xs.append(px)
+        ys.append(py)
+        zs.append(pz)
+        if pz < stop.ground_height:
+            break
+    return PredictedPath(np.array((xs, ys, zs)).T.copy(), initial.time + t_step * np.arange(len(xs)))
+
+
+def path_outcome(f, *args):
+    """The bits of every position and time of the path f returns (float.hex
+    tells -0.0 from 0.0), or what it raises."""
+    try:
+        path = f(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return [c.hex() for c in path.positions.ravel().tolist()], [t.hex() for t in path.times.tolist()]
+
+
+class TestPredictPathReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=balls,
+        env=airs,
+        p=st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.just(-0.0))] * 3),
+        v=st.tuples(velocity_component, velocity_component, velocity_component),
+        t0=st.floats(0.0, 100.0),
+        t_step=st.floats(1e-3, 0.1),
+        stop=st.builds(PropagationStop, st.floats(0.0, 3.0), st.floats(-20.0, 10.0)),
+    )
+    # at rest, and drag-free, with no gravity: the signed zeros of -g reach the positions
+    @example(
+        ProjectileParams(), Environment(gravity_g=0.0), (0.0, 0.0, -0.0), (0.0, 0.0, -0.0), 0.0, 0.01,
+        PropagationStop(0.1, -1.0),
+    )
+    @example(
+        ProjectileParams(drag_mode=DragMode.NONE), Environment(gravity_g=0.0), (0.0, 0.0, -0.0), (0.0, 0.0, -0.0),
+        0.0, 0.01, PropagationStop(0.1, -1.0),
+    )
+    # a 0.5 m, 50 g ball in air five times as dense, thrown up from the origin: drag is a large
+    # share of each step, and the first samples' bits show the order in which Cd's terms add
+    @example(
+        ProjectileParams(mass_m=0.05, diameter_D=0.5), Environment(air_density_rho=5.0), (0.0, 0.0, 0.0),
+        (0.0, 0.0, 3.0), 0.0, 0.01, PropagationStop(0.05, -1.0),
+    )
+    # the speed, and with it Re, overflows to inf
+    @example(ProjectileParams(), Environment(), (0.0, 0.0, 1.0), (1e300, 1e300, 0.0), 0.0, 0.01, PropagationStop())
+    # Re = 1e-34: (Re / 2.63e5) ** -7.94 overflows
+    @example(
+        ProjectileParams(diameter_D=1e-30), Environment(kinematic_viscosity_nu=1e-2), (0.0, 0.0, 1.0),
+        (1e-6, 0.0, 0.0), 0.0, 0.01, PropagationStop(),
+    )
+    def test_equals_the_drag_accel_loop_bit_for_bit(self, params, env, p, v, t0, t_step, stop):
+        seed = BallState(np.array(p), np.array(v), t0)
+        expected = path_outcome(reference_propagate, seed, params, env, t_step, stop)
+        assert path_outcome(predict_path, seed, params, env, t_step, stop) == expected
 
 
 class TestPredictFromQueue:
