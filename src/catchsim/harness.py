@@ -474,43 +474,100 @@ class ScenarioResult:
     termination_reason: str  # intercepted | ground_impact | ball_lost | max_time
 
 
-def _segments(vertices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The segments of the polyline through `vertices` (two or more), in column
-    form: starts `ax, ay, az`, directions `dx, dy, dz`, squared lengths and the
-    mask of positive squared lengths, each a contiguous 1-D array.
+# Segments per bounding sphere of the scorer; points scored per chunk are capped so a
+# chunk spans at most SCORE_CHUNK_PAIRS (point, segment) pairs, however long the truth
+SCORE_BLOCK = 16
+SCORE_CHUNK_PAIRS = 2**17
+# Up to this coordinate magnitude the exact pass cannot overflow: past it, a segment
+# may score NaN with its block's bounds finite, so nothing is skipped
+_SCORE_COORD_LIMIT = 1e150
+
+
+def _dist3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def _segments(vertices: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The segments of the polyline through `vertices` (two or more), in blocks of
+    SCORE_BLOCK: a (7, n_blocks, SCORE_BLOCK) array of starts `ax, ay, az`, directions
+    `dx, dy, dz` and squared lengths, the last block padded with its last segment
+    (which changes no minimum). Then each block's bounding sphere: its centre, a
+    middle vertex, and radius, the distance to the farthest of its vertices, end
+    vertex included; and the polyline's scale, its largest coordinate magnitude, or
+    +inf past _SCORE_COORD_LIMIT or with a NaN (see `_point_to_polyline`).
 
     Sums over the three coordinates associate left to right, (x + y) + z:
     the order in which numpy's `add.reduce(..., axis=1)` sums a row of three,
     as the (N, 3) reference scorer in tests/test_harness.py does. The two
     agree bit for bit only while numpy keeps that order."""
     columns = np.ascontiguousarray(vertices.T)
-    ax, ay, az = starts = columns[:, :-1]
-    dx, dy, dz = columns[:, 1:] - starts
-    dd = (dx * dx + dy * dy) + dz * dz
-    return ax, ay, az, dx, dy, dz, dd, dd > 0.0
+    n = columns.shape[1] - 1
+    first = np.arange(0, n, SCORE_BLOCK)
+    ends = np.minimum(first + SCORE_BLOCK, n)
+    segments = np.empty((7, len(ends) * SCORE_BLOCK))
+    segments[:3, :n] = starts = columns[:, :-1]
+    dx, dy, dz = segments[3:6, :n] = columns[:, 1:] - starts
+    segments[6, :n] = (dx * dx + dy * dy) + dz * dz
+    segments[:, n:] = segments[:, n - 1 : n]
+    segments = segments.reshape(7, len(ends), SCORE_BLOCK)
+    centres = columns[:, (first + ends) // 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        radius = _dist3(*(segments[:3] - centres[:, :, None])).max(axis=1)
+        radius = np.maximum(radius, _dist3(*(columns[:, ends] - centres)))
+        scale = np.abs(columns).max()
+    return segments, (*centres, radius, scale if scale <= _SCORE_COORD_LIMIT else math.inf)
 
 
-def _point_to_polyline(point: np.ndarray, segments: tuple[np.ndarray, ...]) -> float:
-    """Minimum distance from a 3-D point to a polyline, given as its `_segments`."""
-    ax, ay, az, dx, dy, dz, dd, positive = segments
-    px, py, pz = point.tolist()
-    t = ((px - ax) * dx + (py - ay) * dy) + (pz - az) * dz
-    t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=positive), 0.0, 1.0)
-    ex = px - (ax + t * dx)
-    ey = py - (ay + t * dy)
-    ez = pz - (az + t * dz)
-    return math.sqrt(((ex * ex + ey * ey) + ez * ez).min())
+def _point_to_polyline(points: np.ndarray, segments: tuple) -> np.ndarray:
+    """Minimum distance from each row of (P, 3) `points` to a polyline given as its
+    `_segments`, bit for bit what the per-segment formula gives over all segments.
+
+    With D a point's distance to a block's centre and R the block's radius, D - R
+    bounds its distance to the block from below and UB = min(D + R) over the blocks
+    its distance to the polyline from above. A block is skipped iff
+        D - R > UB + (1e-9 * (((D + R) + UB) + S) + 1e-150),  S the polyline's scale.
+    The margin exceeds the rounding of the bounds and of the formula, which grows
+    with the coordinates (S), not only the distances; 1e-150 covers subnormal
+    squares. So a skipped segment scores above a kept one, and the kept minimum is
+    the minimum. A NaN or infinite bound or S skips nothing: the formula gives NaN,
+    which the minimum keeps, only there. The kept pairs run the formula elementwise
+    and `np.minimum.reduceat` takes each point's minimum, a chunk of points at a time."""
+    blocks, (cx, cy, cz, radius, scale) = segments
+    out = np.empty(len(points))
+    step = max(1, SCORE_CHUNK_PAIRS // blocks[0].size)
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step].T
+        px, py, pz = chunk[:, :, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = _dist3(px - cx, py - cy, pz - cz)
+            far = d + radius
+            ub = far.min(axis=1, keepdims=True)
+            skip = d - radius > ub + (1e-9 * ((far + ub) + scale) + 1e-150)
+        pair_point, pair_block = np.nonzero(~skip)
+        ax, ay, az, dx, dy, dz, dd = blocks[:, pair_block].reshape(7, -1)
+        px, py, pz = np.repeat(chunk[:, pair_point], SCORE_BLOCK, axis=1)
+        t = ((px - ax) * dx + (py - ay) * dy) + (pz - az) * dz
+        t = np.clip(np.divide(t, dd, out=np.zeros_like(t), where=dd > 0.0), 0.0, 1.0)
+        ex = px - (ax + t * dx)
+        ey = py - (ay + t * dy)
+        ez = pz - (az + t * dz)
+        sq = (ex * ex + ey * ey) + ez * ez
+        # the block with the least D + R is never skipped, so every point has a pair
+        first_pair = np.searchsorted(pair_point, np.arange(len(d)))
+        out[lo : lo + step] = np.sqrt(np.minimum.reduceat(sq, first_pair * SCORE_BLOCK))
+    return out
 
 
 def prediction_error(predicted_point: np.ndarray, true_trajectory: np.ndarray) -> float:
-    """Distance from a predicted point to the polyline through an (N, 3) true trajectory."""
+    """Distance from a predicted point to the polyline through an (N, 3) true trajectory,
+    scored as `run_scenario` scores its predictions (see `_point_to_polyline`)."""
     vertices = np.asarray(true_trajectory, dtype=float)
     if len(vertices) == 0:
         raise ValueError("true_trajectory must be non-empty")
     point = np.asarray(predicted_point, dtype=float)
     if len(vertices) == 1:
         return norm3(point - vertices[0])
-    return _point_to_polyline(point, _segments(vertices))
+    return _point_to_polyline(point.reshape(1, 3), _segments(vertices)).item()
 
 
 def final_prediction_error(result: ScenarioResult) -> float | None:
@@ -679,10 +736,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if planar:
         _fill_planar_errors(cfg, records, PredictedPath(truth_arr, truth.times[: end + 1]))
     elif predictive:
-        segments = _segments(truth_arr)  # a prediction needs two frames, so two or more vertices
-        for rec in records:
-            if rec.predicted_point is not None:
-                rec.prediction_error = _point_to_polyline(rec.predicted_point, segments)
+        scored = [rec for rec in records if rec.predicted_point is not None]
+        if scored:  # a prediction needs two frames, so two or more vertices
+            points = np.array([rec.predicted_point for rec in scored])
+            for rec, err in zip(scored, _point_to_polyline(points, _segments(truth_arr)).tolist()):
+                rec.prediction_error = err
 
     return ScenarioResult(
         intercepted=intercepted,

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import islice
 from pathlib import Path
@@ -430,19 +431,31 @@ def rows_point_to_polyline(point, segments):
 
 
 def random_polylines(rng):
-    """(vertices, points) pairs: two-vertex and long polylines, repeated
-    vertices (zero-length segments), points on a vertex, coordinates near 1e150."""
-    for scale in (1.0, 1e3, 1e150):
-        for n in (2, 3, 40, 1300):
+    """(vertices, points) pairs: polylines of 1 to 2599 segments, a multiple of
+    SCORE_BLOCK or not; uniform vertices, repeated vertices (zero-length segments)
+    and random walks of short steps with a few 1e4 times longer ones; points off
+    the path, on a vertex and near one; coordinates from 1e-160 (subnormal
+    squares) to 1e155 (overflowing squares)."""
+    for scale in (1e-160, 1.0, 1e3, 1e150, 1e155):
+        for n in (2, 3, 17, 40, 65, 1300):
             vertices = rng.uniform(-scale, scale, size=(n, 3))
             repeated = vertices[np.sort(rng.integers(0, n, size=n))]  # runs of one vertex
-            for verts in (vertices, repeated, np.repeat(vertices, 2, axis=0)):
-                off_path = rng.uniform(-2 * scale, 2 * scale, size=(8, 3))
-                yield verts, np.vstack([off_path, verts[rng.integers(0, len(verts), size=4)]])
+            steps = rng.standard_normal((n, 3)) * np.where(rng.random((n, 1)) < 0.02, 1e4, 1.0)
+            walk = np.cumsum(steps, axis=0) * (scale * 1e-4)
+            for verts in (vertices, repeated, np.repeat(vertices, 2, axis=0), walk):
+                spread = np.abs(verts).max()
+                off_path = rng.uniform(-2 * spread, 2 * spread, size=(8, 3))
+                on_vertex = verts[rng.integers(0, len(verts), size=4)]
+                near = verts[rng.integers(0, len(verts), size=8)] + rng.standard_normal((8, 3)) * (scale * 1e-4)
+                yield verts, np.vstack([off_path, on_vertex, near])
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 class TestColumnFormScorer:
-    """The column-form scorer gives the row-form one's distances bit for bit."""
+    """The batched, block-pruned scorer gives the row-form one's distances bit for bit."""
 
     def test_row_sums_of_three_associate_left_to_right(self):
         x = np.random.default_rng(3).standard_normal((200_000, 3)) * np.array([1.0, 1e-8, 1e8])
@@ -451,12 +464,92 @@ class TestColumnFormScorer:
             "compute (x + y) + z, as the row-form scorer rounded, and no longer match it"
         )
 
+    # past ~1e154 the squares overflow, in both scorers alike
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_random_polylines_match_the_row_form(self):
         rng = np.random.default_rng(11)
         for verts, points in random_polylines(rng):
-            rows, columns = rows_segments(verts), harness._segments(verts)
-            for point in points:
-                assert harness._point_to_polyline(point, columns) == rows_point_to_polyline(point, rows)
+            rows = rows_segments(verts)
+            batched = harness._point_to_polyline(points, harness._segments(verts))
+            assert batched.shape == (len(points),)
+            for point, got in zip(points, batched.tolist()):
+                assert same_float(got, rows_point_to_polyline(point, rows)), (len(verts), point)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinite_points_match_the_row_form(self, bad):
+        rng = np.random.default_rng(12)
+        for verts, points in islice(random_polylines(rng), 0, None, 7):
+            rows = rows_segments(verts)
+            for point in points[:3]:
+                for axis in range(3):
+                    point = point.copy()
+                    point[axis] = bad
+                    assert same_float(prediction_error(point, verts), rows_point_to_polyline(point, rows))
+
+    def test_overflowing_far_block_is_not_skipped(self):
+        # block 0's middle segment overflows to NaN (its t is inf / inf), though the
+        # block's bounds are finite and clear the near blocks' by 0.6e154; the NaN stands
+        far = [[0.0, 0.0, 0.0], [-0.7e154, 0.0, 0.0], [0.7e154, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 14
+        near = [[1.3e154 * (1 - 1e-3 * j), 1.0, 0.0] for j in range(1, 33)]
+        verts, point = np.array(far + near), np.array([1.3e154, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(rows_point_to_polyline(point, rows_segments(verts)))
+            assert math.isnan(prediction_error(point, verts))
+
+    def test_rounding_past_the_distances_is_in_the_margin(self):
+        # near 2**50 the grid is 0.25 m: the segment e1-e2 passes 10.003 m from the
+        # point, past its block's bound D - R > 10 = UB, yet scores 9.988 on that grid
+        centre, e1, e2 = [28.25, -28.25, 0.0], [7.25, -7.0, 0.0], [7.0, -7.25, 0.0]
+        path = [[-10.0, 0.0, 0.0]] * 17 + [[-10.0, 0.0, 40.0]] + [[28.25, -28.25, 40.0]] * 14
+        origin = np.full(3, 2.0**50)
+        verts = np.array(path + [centre, e1, e2] + [centre] * 14) + origin
+        assert prediction_error(origin, verts) == rows_point_to_polyline(origin, rows_segments(verts)) < 10.0
+
+    def test_subnormal_squares_are_in_the_margin(self):
+        # in units of 2**-537 a square is a count of the least subnormal, rounded: block 2's
+        # bound reads sqrt(110) - sqrt(1) = 9.488 (true 9.26) above block 0's 9.381, yet
+        # its segment's end scores sqrt(86) = 9.274
+        u = 2.0**-537
+        centre, a, b = [10.48 * u, 0.0, 0.0], [9.26 * u, 0.0, 0.0], [11.7 * u, 0.0, 0.0]
+        path = [[-9.4 * u, 0.0, 0.0]] * 17 + [[-9.4 * u, 20 * u, 0.0]] + [[10.48 * u, 20 * u, 0.0]] * 14
+        verts, point = np.array(path + [centre, a, b] + [centre] * 14), np.zeros(3)
+        assert prediction_error(point, verts) == rows_point_to_polyline(point, rows_segments(verts)) < 9.3 * u
+
+    def test_block_radius_reaches_the_end_vertex(self):
+        # block 0: 15 segments of 1 cm, then one to (10, 0, 0), which passes 0.3 m from
+        # the point; block 1 climbs away and comes down on block 2, a cluster 0.500001 m off
+        block0 = [[0.01 * k, 0.0, 0.0] for k in range(16)] + [[10.0, 0.0, 0.0]]
+        block1 = [[10.0, 0.0, 5.0]] + [[9.0, 0.800001, 5.0]] * 14
+        cluster = [[9.0, 0.800001, 0.0]] * 17
+        verts, point = np.array(block0 + block1 + cluster), np.array([9.0, 0.3, 0.0])
+        assert prediction_error(point, verts) == rows_point_to_polyline(point, rows_segments(verts))
+        assert prediction_error(point, verts) == pytest.approx(0.3)
+
+    def test_memory_stays_bounded_on_a_long_truth(self):
+        # a points x segments broadcast would hold GBs, a points x blocks one 100 MB
+        rng = np.random.default_rng(13)
+        verts = np.cumsum(rng.standard_normal((MAX_TRUTH_SAMPLES + 1, 3)) * 0.01, axis=0)
+        segments = harness._segments(verts)
+        points = verts[rng.integers(0, len(verts), size=2000)] + rng.standard_normal((2000, 3)) * 0.05
+        tracemalloc.start()
+        try:
+            got = harness._point_to_polyline(points, segments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        rows = rows_segments(verts)
+        for i in rng.integers(0, len(points), size=20):
+            assert got[i] == rows_point_to_polyline(points[i], rows)
+        # a NaN point skips no block: every segment is gathered, a chunk of pairs at a time
+        tracemalloc.start()
+        try:
+            assert np.isnan(harness._point_to_polyline(np.full((20, 3), np.nan), segments)).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("sid", ["D", "E"])
     def test_thrown_runs_match_the_row_form(self, sid, monkeypatch):

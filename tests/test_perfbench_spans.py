@@ -72,3 +72,6 @@ def test_every_layer_a_scenario_exercises_records_calls(sid, exercised):
     lit = {layer for layer, n in calls.items() if n > 0}
     assert lit == exercised
     assert not KNOWN_DARK & lit
+    # one batched scoring call a run: per-point calls, or scoring under a name the
+    # table does not wrap, would not show as a failure in --trace 1
+    assert tracer.counts["_point_to_polyline"] == (1 if sid == "D" else 0)
